@@ -44,7 +44,6 @@ from .measure import (
     find_sup_counterexample,
     in_lower_core,
     in_upper_core,
-    measure_of,
     sample_core,
     verify_inf_representation,
     verify_sup_representation,
@@ -126,7 +125,6 @@ __all__ = [
     "iter_submasks",
     "level_set_chain",
     "maximal_chain",
-    "measure_of",
     "members",
     "parse_scalar",
     "random_monotone_nonsubmodular",

@@ -93,14 +93,9 @@ def choquet_integral(v: SetFunction, f: PointFunction) -> Scalar:
         raise ValueError("f and v live on different ground sets")
     levels = sorted(set(f.values))
     total: Scalar = levels[0] * v.table[v.ground.full]
-    prev = levels[0]
-    for y in levels[1:]:
-        mask = 0
-        for i, x in enumerate(f.values):
-            if x >= y:
-                mask |= 1 << i
-        total += (y - prev) * v.table[mask]
-        prev = y
+    for prev, y in zip(levels, levels[1:]):
+        # {f >= y} is {f > prev}: no value of f lies strictly between them
+        total += (y - prev) * v.table[f.level_set(prev)]
     return total
 
 
@@ -117,14 +112,9 @@ def level_set_chain(f: PointFunction) -> Chain:
     """The distinct strict upper level sets of f, ordered by inclusion from
     the empty set to the full set; maximal exactly when f is injective."""
     levels = sorted(set(f.values), reverse=True)
-    sets = [0]
-    for y in levels:
-        mask = 0
-        for i, x in enumerate(f.values):
-            if x >= y:
-                mask |= 1 << i
-        sets.append(mask)
-    return Chain(f.ground.full, tuple(sets))
+    # {f >= y_k} is {f > y_(k+1)} below the lowest level, the full set at it
+    sets = (0, *(f.level_set(z) for z in levels[1:]), f.ground.full)
+    return Chain(f.ground.full, sets)
 
 
 def brute_force_sup(v: SetFunction, f: PointFunction) -> tuple[Scalar, list[tuple[int, ...]]]:
@@ -162,7 +152,10 @@ def verify_choquet_sup(
     v along it, and claims: the measure agrees with v on every level set;
     its integral of f equals the closed-form Choquet integral; and every
     sampled core measure is dominated, integrating f to at most v(f).
+    ``samples`` must be at least 1, so the domination claim is never vacuous.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     levels = level_set_chain(f)
     completed = levels.refined()
     mu = chain_measure(v, completed)

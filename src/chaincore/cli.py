@@ -110,6 +110,14 @@ def _parse_base_chain(spec: str | None, v: SetFunction) -> Chain | list[int] | N
     return [int(t) for t in spec.split(",")]
 
 
+def _route(v: SetFunction):
+    """The inf check for supermodular, non-submodular v; the sup check
+    otherwise, which doubles as the counterexample probe."""
+    if not v.is_submodular() and v.is_supermodular():
+        return verify_inf_representation
+    return verify_sup_representation
+
+
 def _cmd_core(args: argparse.Namespace) -> int:
     v = load_instance(args.instance, exact=not args.float)
     a = v.ground.parse_subset(args.A) if args.A is not None else v.ground.full
@@ -117,12 +125,7 @@ def _cmd_core(args: argparse.Namespace) -> int:
     if b & ~a:
         raise ValueError("B must be a subset of A")
     base = _parse_base_chain(args.chain, v)
-    if v.is_submodular():
-        report = verify_sup_representation(v, a, b, base=base)
-    elif v.is_supermodular():
-        report = verify_inf_representation(v, a, b, base=base)
-    else:
-        report = verify_sup_representation(v, a, b, base=base)
+    report = _route(v)(v, a, b, base=base)
     payload = _report_payload(report, v.ground)
     payload["unique"] = verify_uniqueness(v, a, b, base=base)
     _emit(payload, args.pretty)
@@ -198,9 +201,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise ValueError(f"{path}: {exc}") from exc
         if v.ground.n > SWEEP_MAX_POINTS:
             raise ValueError(f"{path}: sweep supports n <= {SWEEP_MAX_POINTS}")
-        verify = verify_sup_representation if v.is_submodular() else (
-            verify_inf_representation if v.is_supermodular() else verify_sup_representation
-        )
+        verify = _route(v)
         pairs = failures = 0
         unique = True
         for a in v.ground.subsets():

@@ -17,8 +17,8 @@ from fractions import Fraction
 from itertools import product
 
 from .chains import Chain
-from .choquet import PointFunction
-from .setfun import GroundSet, members
+from .choquet import PointFunction, level_set_chain
+from .setfun import GroundSet
 
 #: Largest supported family; member k contributes digit k of the embedding.
 MAX_MEMBERS = 24
@@ -76,11 +76,7 @@ def ternary_embed(family: GeneratingFamily) -> PointFunction:
 
 def sublevel_set(f: PointFunction, a: Fraction) -> int:
     """The strict sublevel set {f < a} as a bitmask."""
-    mask = 0
-    for i, x in enumerate(f.values):
-        if x < a:
-            mask |= 1 << i
-    return mask
+    return f.negate().level_set(-a)
 
 
 def embed_chain(family: GeneratingFamily) -> Chain:
@@ -89,15 +85,7 @@ def embed_chain(family: GeneratingFamily) -> Chain:
     Maximal (hence power-set generating) exactly when the family separates
     points; otherwise the chain generates the point-class quotient algebra.
     """
-    f = ternary_embed(family)
-    order = sorted(range(family.ground.n), key=lambda p: f.values[p])
-    sets = [0]
-    acc = 0
-    for i, p in enumerate(order):
-        acc |= 1 << p
-        if i + 1 == len(order) or f.values[order[i + 1]] != f.values[p]:
-            sets.append(acc)
-    return Chain(family.ground.full, tuple(sets))
+    return level_set_chain(ternary_embed(family).negate())
 
 
 def ternary_digit(x: Fraction, index: int) -> int:

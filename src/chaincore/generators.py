@@ -91,16 +91,20 @@ def _check_distortion(g, grid: Sequence[Fraction]) -> None:
         raise GeneratorError("distortion must be non-decreasing on its grid")
 
 
+def _slopes(g) -> list:
+    """Slopes of g between consecutive points of its own grid."""
+    pts = g.grid()
+    return [(g(b) - g(a)) / (b - a) for a, b in zip(pts, pts[1:])]
+
+
 def concave_on_grid(g) -> bool:
     """Second differences nonpositive on the distortion's own grid."""
-    pts = g.grid()
-    slopes = [(g(b) - g(a)) / (b - a) for a, b in zip(pts, pts[1:])]
+    slopes = _slopes(g)
     return all(t <= s for s, t in zip(slopes, slopes[1:]))
 
 
 def convex_on_grid(g) -> bool:
-    pts = g.grid()
-    slopes = [(g(b) - g(a)) / (b - a) for a, b in zip(pts, pts[1:])]
+    slopes = _slopes(g)
     return all(t >= s for s, t in zip(slopes, slopes[1:]))
 
 
@@ -189,12 +193,7 @@ def shapley_example(
     mu = chain_measure(v, chain)
 
     prefix = 0
-    for point in b:
-        expected = v.table[prefix | 1 << point] - v.table[prefix]
-        if mu.weight(point) != expected:
-            raise GeneratorError(f"marginal increment mismatch at point {point}")
-        prefix |= 1 << point
-    for point in c:
+    for point in b + c:
         expected = v.table[prefix | 1 << point] - v.table[prefix]
         if mu.weight(point) != expected:
             raise GeneratorError(f"marginal increment mismatch at point {point}")

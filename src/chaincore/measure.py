@@ -19,7 +19,7 @@ from fractions import Fraction
 from random import Random
 from typing import Mapping, Sequence
 
-from .chains import Chain, insert_chain, maximal_chain
+from .chains import Chain, chain_from_order, insert_chain, maximal_chain
 from .scalar import Scalar, format_scalar, resolve_eps, scalar_eq, scalar_ge, scalar_le
 from .setfun import SetFunction, dual_transform, members
 
@@ -117,10 +117,6 @@ def chain_measure(v: SetFunction, chain: Chain) -> AtomicMeasure:
     return AtomicMeasure.from_weights(chain.carrier, by_point)
 
 
-def measure_of(mu: AtomicMeasure, subset: int) -> Scalar:
-    return mu(subset)
-
-
 def weights_from_chain_values(chain: Chain, values: Mapping[int, Scalar]) -> AtomicMeasure:
     """Reconstruct the only possible atomic measure agreeing with the given
     values on every member of a maximal chain.
@@ -174,7 +170,8 @@ def _scan_core(
             violations = tuple(m for m, x in tbl.items() if x < vt[m])
     else:
         cmp = scalar_le if lower else scalar_ge
-        violations = tuple(m for m, x in tbl.items() if not cmp(x, vt[m], eps))
+        tol = resolve_eps(eps)
+        violations = tuple(m for m, x in tbl.items() if not cmp(x, vt[m], tol))
     return CoreCheck(mass_ok, negative, violations, len(tbl))
 
 
@@ -189,7 +186,7 @@ def core_check(
     Lower core: mu(A) = v(A), mu(E) <= v(E) for every E inside A, and all
     weights nonnegative.  Upper core mirrors the inequality.
     """
-    return _scan_core(mu.table(), mu, v, lower, resolve_eps(eps))
+    return _scan_core(mu.table(), mu, v, lower, eps)
 
 
 def in_lower_core(
@@ -316,7 +313,7 @@ def _construction_claims(
         Claim("mu(I) = v(I)", "chain", (s,), tbl[s], v.table[s], False) for s in chain_bad
     )
 
-    check = _scan_core(tbl, mu, v, lower, resolve_eps(eps))
+    check = _scan_core(tbl, mu, v, lower, eps)
     claims.append(Claim("mu(A) = v(A)", "core", (a,), tbl[a], v.table[a], check.mass_ok))
     claims.append(
         Claim("all weights nonnegative", "core", (a,),
@@ -341,25 +338,20 @@ def _construction_claims(
     return claims, check
 
 
-def verify_sup_representation(
+def _direct_route(
     v: SetFunction,
     a: int,
     b: int,
-    base: Chain | Sequence[int] | None = None,
-    eps: float | None = None,
-    check_preconditions: bool = True,
-) -> VerificationReport:
-    """Check that the chain measure on the insertion of B into A witnesses
-    v(B) as the attained supremum of the lower core of v on A.
+    base: Chain | Sequence[int] | None,
+    lower: bool,
+    eps: float | None,
+) -> tuple[VerificationReport, Chain, Chain, CoreCheck]:
+    """Telescope v along the insertion of B into A and check the
+    construction: chain agreement, lower (or upper) core membership
+    exhaustively over all subsets of A, and attainment at B.
 
-    Claims: v's structural preconditions; mu = v on every member of the
-    inserted chain; lower-core membership exhaustively over all subsets of
-    A; and mu(B) = v(B).  Every core element is dominated by v on B by
-    definition, so the attainment claim closes the supremum argument.
-    Precondition failures are reported, never raised, so the same routine
-    doubles as the counterexample probe for non-submodular input.
-    ``check_preconditions=False`` skips the precondition claims when the
-    caller has already established them for an equivalent function.
+    Returns the construction-only report together with the base chain,
+    the inserted chain and the core scan.
     """
     v.ground.check_subset(a)
     if b & ~a:
@@ -367,13 +359,9 @@ def verify_sup_representation(
     base_chain = _resolve_base(v, base)
     chain = insert_chain(base_chain, a, b)
     mu = chain_measure(v, chain)
-
-    claims = _precondition_claims(v, submodular=True, eps=eps) if check_preconditions else []
-    built, check = _construction_claims(v, chain, mu, b, lower=True, eps=eps)
-    claims.extend(built)
-
+    claims, check = _construction_claims(v, chain, mu, b, lower, eps)
     report = VerificationReport(
-        kind="sup-attainment",
+        kind="sup-attainment" if lower else "inf-attainment",
         context={
             "A": a,
             "B": b,
@@ -385,6 +373,28 @@ def verify_sup_representation(
         witness=mu,
         claims=claims,
     )
+    return report, base_chain, chain, check
+
+
+def verify_sup_representation(
+    v: SetFunction,
+    a: int,
+    b: int,
+    base: Chain | Sequence[int] | None = None,
+    eps: float | None = None,
+) -> VerificationReport:
+    """Check that the chain measure on the insertion of B into A witnesses
+    v(B) as the attained supremum of the lower core of v on A.
+
+    Claims: v's structural preconditions; mu = v on every member of the
+    inserted chain; lower-core membership exhaustively over all subsets of
+    A; and mu(B) = v(B).  Every core element is dominated by v on B by
+    definition, so the attainment claim closes the supremum argument.
+    Precondition failures are reported, never raised, so the same routine
+    doubles as the counterexample probe for non-submodular input.
+    """
+    report, *_ = _direct_route(v, a, b, base, lower=True, eps=eps)
+    report.claims[:0] = _precondition_claims(v, submodular=True, eps=eps)
     return report
 
 
@@ -412,14 +422,6 @@ def _local_mask(global_mask: int, pts: Sequence[int]) -> int:
     return local
 
 
-def _global_mask(local: int, pts: Sequence[int]) -> int:
-    out = 0
-    for i, p in enumerate(pts):
-        if local >> i & 1:
-            out |= 1 << p
-    return out
-
-
 def verify_inf_representation(
     v: SetFunction,
     a: int,
@@ -433,35 +435,15 @@ def verify_inf_representation(
     Direct route: telescope v along the insertion of B into A and check
     upper-core membership and attainment exhaustively.  Dual route:
     restrict v to A, apply the complement dual (which is submodular), and
-    run the sup verification on the complemented chain and complemented B.
+    check the sup construction on the complemented chain and complemented B.
     The two witnesses are the same measure and the reports must agree claim
     for claim under the complement correspondence; the agreement is itself
     recorded as consistency claims.
     """
-    v.ground.check_subset(a)
-    if b & ~a:
-        raise ValueError("b must lie within a")
-    base_chain = _resolve_base(v, base)
-    chain = insert_chain(base_chain, a, b)
-    mu = chain_measure(v, chain)
-
-    claims = _precondition_claims(v, submodular=False, eps=eps)
-    built, check = _construction_claims(v, chain, mu, b, lower=False, eps=eps)
-    claims.extend(built)
-
-    report = VerificationReport(
-        kind="inf-attainment",
-        context={
-            "A": a,
-            "B": b,
-            "base_order": list(base_chain.point_order()),
-            "chain": list(chain.sets),
-            "core_violations": list(check.violations),
-            "negative_points": list(check.negative_points),
-        },
-        witness=mu,
-        claims=claims,
-    )
+    report, base_chain, chain, check = _direct_route(v, a, b, base, lower=False, eps=eps)
+    report.claims[:0] = _precondition_claims(v, submodular=False, eps=eps)
+    mu = report.witness
+    assert mu is not None
 
     if a == 0:
         report.claims.append(
@@ -480,9 +462,7 @@ def verify_inf_representation(
     local_b = local_full ^ _local_mask(b, pts)
     # The dual's preconditions are equivalent to v's (already claimed above),
     # so the inner run checks only the construction.
-    dual_report = verify_sup_representation(
-        w, local_full, local_b, base=local_base, eps=eps, check_preconditions=False
-    )
+    dual_report, *_ = _direct_route(w, local_full, local_b, local_base, lower=True, eps=eps)
     report.dual = dual_report
 
     dual_mu = dual_report.witness
@@ -511,7 +491,7 @@ def verify_inf_representation(
                   (b,), direct_attained, dual_attained, direct_attained == dual_attained),
             Claim("overall verdicts agree across routes", "consistency",
                   (a, b), None, None,
-                  all(c.passed for c in built) == dual_report.construction_passed),
+                  report.construction_passed == dual_report.construction_passed),
         ]
     )
     return report
@@ -531,17 +511,8 @@ def sample_core(
     for _ in range(count):
         perm = pts[:]
         rng.shuffle(perm)
-        out.append(chain_measure(v, _order_chain(perm, a)))
+        out.append(chain_measure(v, chain_from_order(perm, a)))
     return out
-
-
-def _order_chain(order: Sequence[int], carrier: int) -> Chain:
-    mask = 0
-    sets = [0]
-    for p in order:
-        mask |= 1 << p
-        sets.append(mask)
-    return Chain(carrier, tuple(sets))
 
 
 def find_sup_counterexample(

@@ -34,15 +34,16 @@ class ScalarModeError(TypeError):
 
 
 def resolve_eps(eps: float | None = None) -> float:
-    """Effective float-mode tolerance: explicit arg, env override, or default."""
-    if eps is not None:
-        return float(eps)
-    raw = os.environ.get(EPS_ENV_VAR)
-    return float(raw) if raw else DEFAULT_EPS
+    """Effective float-mode tolerance: explicit arg, env override, or default.
 
-
-def is_exact(x: Scalar) -> bool:
-    return not isinstance(x, float)
+    Raises ValueError unless the tolerance is finite and at least 0.
+    """
+    if eps is None:
+        eps = os.environ.get(EPS_ENV_VAR) or DEFAULT_EPS
+    value = float(eps)
+    if not math.isfinite(value) or value < 0:
+        raise ValueError(f"tolerance must be finite and >= 0, got {eps!r}")
+    return value
 
 
 def is_finite(x: Scalar) -> bool:

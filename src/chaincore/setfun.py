@@ -21,6 +21,7 @@ from .scalar import (
     is_finite,
     parse_scalar,
     format_scalar,
+    resolve_eps,
     scalar_eq,
     scalar_le,
     scalar_ge,
@@ -43,6 +44,15 @@ def iter_submasks(mask: int) -> Iterator[int]:
         if sub == 0:
             return
         sub = (sub - 1) & mask
+
+
+def _global_mask(local: int, pts: Sequence[int]) -> int:
+    """Map a mask over the indices of ``pts`` back to the points themselves."""
+    out = 0
+    for i, p in enumerate(pts):
+        if local >> i & 1:
+            out |= 1 << p
+    return out
 
 
 @dataclass(frozen=True)
@@ -139,13 +149,14 @@ class SetFunction:
         for mask, x in enumerate(self.table):
             if not is_finite(x):
                 raise ValueError(f"non-finite value at bitmask {mask}")
-        # Predicate memo for the default-tolerance path; the table is
-        # immutable, so results never go stale.
+        # The table is immutable, so its mode and predicate results are
+        # computed once; predicates are keyed by the tolerance in effect.
+        object.__setattr__(self, "_exact", not has_float)
         object.__setattr__(self, "_memo", {})
 
     @property
     def exact(self) -> bool:
-        return not any(isinstance(x, float) for x in self.table)
+        return self._exact  # type: ignore[attr-defined]
 
     def __call__(self, mask: int) -> Scalar:
         self.ground.check_subset(mask)
@@ -195,11 +206,17 @@ class SetFunction:
 
     # -- structural predicates ------------------------------------------------
 
-    def _memoized(self, key: str, compute) -> bool:
+    def _memoized(
+        self, key: tuple, eps: float | None, compute: Callable[[float | None], bool]
+    ) -> bool:
+        """Memoised predicate: exact mode ignores the tolerance, float mode
+        keys the result by the resolved eps (so a changed CHAINCORE_EPS is
+        recomputed, never answered from the memo)."""
+        tol = None if self.exact else resolve_eps(eps)
         memo = self._memo  # type: ignore[attr-defined]
-        if key not in memo:
-            memo[key] = compute()
-        return memo[key]
+        if (key, tol) not in memo:
+            memo[key, tol] = compute(tol)
+        return memo[key, tol]
 
     def is_grounded(self, eps: float | None = None) -> bool:
         return scalar_eq(self.table[0], 0, eps)
@@ -207,9 +224,7 @@ class SetFunction:
     def is_monotone(self, eps: float | None = None) -> bool:
         """Non-decreasing along single-point insertions (sufficient by
         transitivity on the finite subset lattice)."""
-        if eps is None:
-            return self._memoized("monotone", lambda: self._monotone(None))
-        return self._monotone(eps)
+        return self._memoized(("monotone",), eps, self._monotone)
 
     def _monotone(self, eps: float | None) -> bool:
         full = self.ground.full
@@ -229,19 +244,13 @@ class SetFunction:
         The default checks the equivalent pairwise-increment form over
         (S, i, j); ``exhaustive=True`` scans all 4**n ordered pairs.
         """
-        if eps is None and not exhaustive:
-            return self._memoized(
-                "submodular", lambda: self._modularity(lower=False, eps=None, exhaustive=False)
-            )
-        return self._modularity(lower=False, eps=eps, exhaustive=exhaustive)
+        return self._memoized(("submodular", exhaustive), eps,
+                              lambda tol: self._modularity(False, tol, exhaustive))
 
     def is_supermodular(self, eps: float | None = None, exhaustive: bool = False) -> bool:
         """Mirror of :meth:`is_submodular` with the inequality reversed."""
-        if eps is None and not exhaustive:
-            return self._memoized(
-                "supermodular", lambda: self._modularity(lower=True, eps=None, exhaustive=False)
-            )
-        return self._modularity(lower=True, eps=eps, exhaustive=exhaustive)
+        return self._memoized(("supermodular", exhaustive), eps,
+                              lambda tol: self._modularity(True, tol, exhaustive))
 
     def _modularity(self, lower: bool, eps: float | None, exhaustive: bool) -> bool:
         table = self.table
@@ -285,14 +294,8 @@ class SetFunction:
         if self.ground.labels is not None:
             labels = tuple(self.ground.labels[p] for p in pts)
         sub_ground = GroundSet(len(pts), labels)
-        table = []
-        for local in sub_ground.subsets():
-            mask = 0
-            for i, p in enumerate(pts):
-                if local >> i & 1:
-                    mask |= 1 << p
-            table.append(self.table[mask])
-        return SetFunction(sub_ground, tuple(table)), pts
+        table = tuple(self.table[_global_mask(local, pts)] for local in sub_ground.subsets())
+        return SetFunction(sub_ground, table), pts
 
 
 def dual_transform(v: SetFunction) -> SetFunction:

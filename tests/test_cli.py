@@ -236,3 +236,22 @@ def test_eps_env_var_reaches_float_mode(instance, capsys, monkeypatch):
     monkeypatch.setenv("CHAINCORE_EPS", "0.05")
     code, out, _ = run(capsys, "--float", "check", instance(obj))
     assert json.loads(out)["monotone"]
+
+
+@pytest.mark.parametrize("bad", ["nan", "-1"])
+def test_bad_eps_is_input_error(instance, capsys, monkeypatch, bad):
+    monkeypatch.setenv("CHAINCORE_EPS", bad)
+    code, out, err = run(capsys, "--float", "core", instance(RUNNING), "--B", "2")
+    assert code == 2
+    assert out == ""
+    assert "tolerance" in err
+    # exact mode never reads the tolerance
+    assert run(capsys, "core", instance(RUNNING), "--B", "2")[0] == 0
+
+
+@pytest.mark.parametrize("bad", ["0", "-3"])
+def test_choquet_samples_must_be_positive(instance, capsys, bad):
+    code, out, err = run(capsys, "choquet", instance(RUNNING), "--f", "3,1,2", "--samples", bad)
+    assert code == 2
+    assert out == ""
+    assert "samples" in err

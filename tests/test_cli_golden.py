@@ -1,0 +1,143 @@
+"""Byte-stability of the CLI output.
+
+Each case pins the exit code and the sha256 of stdout for one command,
+in exact and in float mode.  The digests were recorded before the sup and
+inf checks were merged into one direct route, and that merge left every
+byte unchanged.  A changed digest is a change to the output format and
+must be made on purpose; ``PYTHONPATH=src python tests/test_cli_golden.py``
+prints the current digests.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from contextlib import redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+import pytest
+
+from chaincore import random_monotone_nonsubmodular, random_submodular, random_supermodular
+from chaincore.cli import main
+
+RUNNING = {
+    "n": 3,
+    "generator": "distortion",
+    "g": {"kind": "poly", "coeffs": [0, 2, -1]},
+    "p": ["1/3", "1/3", "1/3"],
+}
+ADDITIVE = {"n": 3, "values": {"0": 0, "1": "1/4", "2": "1/2", "3": "3/4",
+                               "4": "1/4", "5": "1/2", "6": "3/4", "7": 1}}
+FAMILY = {"n": 4, "members": [[0, 1], [1, 2], [3]]}
+COARSE_FAMILY = {"n": 3, "members": [[0, 1]]}
+# monotone and grounded, neither submodular nor supermodular
+MIXED = {"n": 3, "values": {"0": 0, "1": "1/2", "2": "1/2", "3": "1/2",
+                            "4": "1/2", "5": "1/2", "6": "1/2", "7": 1}}
+
+
+def _write_inputs(root: Path) -> None:
+    files = {
+        "running.json": RUNNING,
+        "additive.json": ADDITIVE,
+        "super.json": random_supermodular(3, 7).to_json_dict(),
+        "mixed.json": MIXED,
+        "family.json": FAMILY,
+        "coarse.json": COARSE_FAMILY,
+    }
+    for name, obj in files.items():
+        (root / name).write_text(json.dumps(obj))
+    # seeded sweep corpus: sup, inf, additive and failing instances
+    corpus = {
+        **{f"sub{n}.json": random_submodular(n, 100 + n) for n in (2, 3, 4)},
+        **{f"super{n}.json": random_supermodular(n, 200 + n) for n in (2, 3, 4)},
+        **{f"nonsub{n}.json": random_monotone_nonsubmodular(n, 300 + n) for n in (3, 4)},
+    }
+    (root / "corpus").mkdir()
+    for name, v in corpus.items():
+        (root / "corpus" / name).write_text(json.dumps(v.to_json_dict()))
+
+
+#: (name, argv); the second word names a file or directory of the inputs.
+COMMANDS = (
+    ("core-sup", ["core", "running.json", "--B", "2"]),
+    ("core-sup-chain", ["core", "running.json", "--A", "6", "--B", "4", "--chain", "2,1,0"]),
+    ("core-inf", ["core", "super.json", "--B", "1"]),
+    ("core-inf-chain", ["core", "super.json", "--A", "6", "--B", "2", "--chain", "0;4;6;7"]),
+    ("core-mixed", ["core", "mixed.json", "--B", "2"]),
+    ("core-additive", ["core", "additive.json", "--A", "5", "--B", "1"]),
+    ("sweep", ["sweep", "corpus"]),
+    ("choquet", ["choquet", "running.json", "--f", "3,1,2"]),
+    ("choquet-ties", ["choquet", "running.json", "--f", "2,0,2", "--seed", "3"]),
+    ("choquet-ties-risk", ["choquet", "super.json", "--f", "1,0,1", "--risk", "--samples", "5"]),
+    ("embed", ["embed", "family.json"]),
+    ("embed-coarse", ["embed", "coarse.json", "--recover", "1"]),
+)
+
+MODES = (("exact", []), ("float", ["--float"]))
+
+#: "<command>/<mode>" -> (exit code, sha256 of stdout).
+EXPECTED = {
+    'core-sup/exact': (0, 'f78cb9ae06017b5af001f49d302579b07c335297fbaa9c923a9ccffc119f7383'),
+    'core-sup-chain/exact': (0, 'eb77ffa82db9a50996a057c3ba28634828c6a8881bc7cb9d98cb116c41b64f28'),
+    'core-inf/exact': (0, '0c1232344dfe52b801123ae34408e111a8b025cbc6241f7a67f0f44f0e16733f'),
+    'core-inf-chain/exact': (0, '8222db12f7e623df02c328c2c25710fe0438065cfc476d85d7024708770d2430'),
+    'core-mixed/exact': (1, '27be8c875380a601d74c581519027fdd9880fdb13d060059077fdf32228c1a78'),
+    'core-additive/exact': (0, 'f2f7a82213a38eea8a25f1eddec6955373a9532b8c5d8ffce60e42dc9b8409ce'),
+    'sweep/exact': (1, '30861c86867f130043c5833ac0acfedb6d238bab67d31540ff874ee0c4cfb544'),
+    'choquet/exact': (0, '4b94a7f5e138122e2bf4fb9deb1620a609ae8c0e6506df565edb50ceea05d7a8'),
+    'choquet-ties/exact': (0, 'c75993a7cbdf22f4e4348473bc15686ae87d238eb0a0a99c857989f82646a490'),
+    'choquet-ties-risk/exact': (1, '13fcd7a291dceb06049b9f7223ba9efcda62a597722e072a07e0d99dc2c8425e'),
+    'embed/exact': (0, '83c94e7a3e1b951872a48486731181a6b6dea85abdddd95c419cae3527321aeb'),
+    'embed-coarse/exact': (0, '440342eea0a7209a516cd15b0134890ecd42ceacb18dd438916a3cb123a0f59c'),
+    'core-sup/float': (0, '08385e5547a807a681d9928241f4e75e78c7f51ac931af1ac838af16819139dd'),
+    'core-sup-chain/float': (0, '5dab9ce0cc19d56f211afac2ff1fca0568c309386d74dac34f210dd0bc688e4b'),
+    'core-inf/float': (0, 'ee30cf14635771c9d2f6f1afa92eb6133de0d3144cd71252d5f4d1a13b716bb8'),
+    'core-inf-chain/float': (0, '2d0583064e0414b70a9320675ab5b0f129b77f3317cf8d0e10dfc423d7323b0d'),
+    'core-mixed/float': (1, 'c4a3acf2e0e5766eec94fc290685af3b59d110e5ae2f103a0f557a34b80f399b'),
+    'core-additive/float': (0, 'ef81b9b63424f64bb3b88ed534025c0bf9825265f701d47f0346db83e3c0d75a'),
+    'sweep/float': (1, '30861c86867f130043c5833ac0acfedb6d238bab67d31540ff874ee0c4cfb544'),
+    'choquet/float': (0, 'e06ecd71dffa9a68a696c72d0186006bc8790898a98616fd449fa926d4dc1996'),
+    'choquet-ties/float': (0, 'e3286a47a331b5c2d5bde1718e76a14715668a3218fe69f39dcc7886d6b7ccc8'),
+    'choquet-ties-risk/float': (1, 'c85a5859cf2a4e9eb465819e013acccec9c35e1c6e0faf9e1173bd1bee532016'),
+}
+
+
+def run_cases(root: Path) -> dict[str, tuple[int, str]]:
+    out = {}
+    for mode, prefix in MODES:
+        for name, argv in COMMANDS:
+            if mode == "float" and argv[0] == "embed":
+                continue  # embeddings are exact by construction
+            command, path, *rest = argv
+            buf = StringIO()
+            with redirect_stdout(buf):
+                code = main([*prefix, command, str(root / path), *rest])
+            digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+            out[f"{name}/{mode}"] = (code, digest)
+    return out
+
+
+@pytest.fixture(scope="module")
+def observed(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    _write_inputs(root)
+    return run_cases(root)
+
+
+@pytest.mark.parametrize("case", sorted(EXPECTED))
+def test_cli_output_is_byte_stable(observed, case):
+    assert observed[case] == EXPECTED[case]
+
+
+def test_every_case_is_pinned(observed):
+    assert set(observed) == set(EXPECTED)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_inputs(Path(tmp))
+        for key, value in run_cases(Path(tmp)).items():
+            print(f"    {key!r}: {value!r},")

@@ -10,6 +10,7 @@ from chaincore import (
     embed_chain,
     generated_algebra,
     iter_submasks,
+    level_set_chain,
     recover_generator,
     sublevel_set,
     ternary_digit,
@@ -38,6 +39,23 @@ def test_embed_chain_example(fam3):
     assert chain.sets == (0, 0b100, 0b101, 0b111)
     assert chain.is_maximal
     assert chain_generates(chain)
+
+
+def test_embed_chain_is_level_set_chain_of_negated_embedding():
+    rng = Random(4321)
+    for _ in range(80):
+        n = rng.randint(1, 8)
+        fam = GeneratingFamily(
+            GroundSet(n), tuple(rng.randrange(1 << n) for _ in range(rng.randint(0, 6)))
+        )
+        f = ternary_embed(fam)
+        sublevels = sorted(
+            {sum(1 << p for p in range(n) if f.values[p] <= y) for y in f.values},
+            key=int.bit_count,
+        )
+        chain = embed_chain(fam)
+        assert chain == level_set_chain(f.negate())
+        assert chain.sets == (0, *sublevels)
 
 
 def test_embed_chain_empty_family():

@@ -15,7 +15,6 @@ from chaincore import (
     in_upper_core,
     iter_submasks,
     maximal_chain,
-    measure_of,
     random_monotone_nonsubmodular,
     random_submodular,
     random_supermodular,
@@ -32,7 +31,7 @@ def test_atomic_measure_basics():
     mu = AtomicMeasure.from_weights(
         0b111, {0: Fraction(5, 9), 1: Fraction(1, 3), 2: Fraction(1, 9)}
     )
-    assert measure_of(mu, 0b110) == Fraction(4, 9)
+    assert mu(0b110) == Fraction(4, 9)
     assert mu(0) == 0
     assert mu(0b111) == Fraction(1) == mu.total
     assert mu.is_nonnegative()

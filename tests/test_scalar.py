@@ -79,3 +79,20 @@ def test_eps_env_override(monkeypatch):
     monkeypatch.delenv(EPS_ENV_VAR)
     assert resolve_eps() == 1e-9
     assert resolve_eps(1e-6) == 1e-6
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "-1", "-1e-12", "loose"])
+def test_eps_rejects_bad_tolerance(monkeypatch, bad):
+    with pytest.raises(ValueError):
+        resolve_eps(bad)
+    monkeypatch.setenv(EPS_ENV_VAR, bad)
+    with pytest.raises(ValueError):
+        resolve_eps()
+    with pytest.raises(ValueError):
+        scalar_eq(1.0, 1.0)
+
+
+def test_eps_zero_is_literal_equality():
+    assert resolve_eps(0) == 0.0
+    assert scalar_eq(0.5, 0.5, eps=0)
+    assert not scalar_eq(0.5, 0.5 + 1e-16 * 4, eps=0)

@@ -190,3 +190,26 @@ def test_float_mode_predicates():
     )
     assert not v.exact
     assert v.is_grounded() and v.is_monotone() and v.is_submodular()
+
+
+def test_predicate_memo_follows_eps(monkeypatch):
+    # submodular only up to 5e-4: v({0}) + v({1}) = 1 < 1.0005 = v({0,1})
+    v = SetFunction(GroundSet(2), (0.0, 0.5, 0.5, 1.0005))
+    monkeypatch.setenv("CHAINCORE_EPS", "1e-3")
+    assert v.is_submodular()
+    monkeypatch.setenv("CHAINCORE_EPS", "1e-12")
+    assert not v.is_submodular()
+    assert v.is_submodular(eps=1e-3)
+    assert not v.is_submodular(eps=1e-12)
+    # monotone only up to 1e-4: v({1}) dips below v({0}) on {0,1}
+    w = SetFunction(GroundSet(2), (0.0, 0.5, 0.2, 0.4999))
+    monkeypatch.setenv("CHAINCORE_EPS", "1e-3")
+    assert w.is_monotone()
+    monkeypatch.setenv("CHAINCORE_EPS", "1e-12")
+    assert not w.is_monotone()
+
+
+def test_exact_predicates_ignore_eps(monkeypatch):
+    v = quadratic_capacity(3)
+    monkeypatch.setenv("CHAINCORE_EPS", "nan")
+    assert v.is_monotone() and v.is_submodular() and not v.is_supermodular()
