@@ -23,6 +23,7 @@ from .measure import (
     Claim,
     VerificationReport,
     _precondition_claims,
+    _tolerance,
     chain_measure,
     sample_core,
 )
@@ -156,14 +157,15 @@ def verify_choquet_sup(
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    tol = _tolerance(v.exact and not any(isinstance(x, float) for x in f.values), eps)
     levels = level_set_chain(f)
     completed = levels.refined()
     mu = chain_measure(v, completed)
     vf = choquet_integral(v, f)
 
-    claims = _precondition_claims(v, submodular=True, eps=eps)
+    claims = _precondition_claims(v, submodular=True, tol=tol)
 
-    level_bad = [s for s in levels.sets if not scalar_eq(mu(s), v.table[s], eps)]
+    level_bad = [s for s in levels.sets if not scalar_eq(mu(s), v.table[s], tol)]
     claims.append(
         Claim("mu agrees with v on every level set", "chain",
               tuple(levels.sets), len(level_bad), 0, not level_bad)
@@ -175,13 +177,13 @@ def verify_choquet_sup(
     attained = integrate(f, mu)
     claims.append(
         Claim("integral of f against mu equals v(f)", "attainment",
-              (), attained, vf, scalar_eq(attained, vf, eps))
+              (), attained, vf, scalar_eq(attained, vf, tol))
     )
 
     dominated_bad: list[tuple[int, Scalar]] = []
     for idx, sample in enumerate(sample_core(v, v.ground.full, samples, seed)):
         val = integrate(f, sample)
-        if not scalar_le(val, vf, eps):
+        if not scalar_le(val, vf, tol):
             dominated_bad.append((idx, val))
     claims.append(
         Claim("sampled core measures are dominated by v(f)", "core",

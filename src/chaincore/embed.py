@@ -12,9 +12,9 @@ would flip digits.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .chains import Chain
 from .choquet import PointFunction, level_set_chain
@@ -100,26 +100,36 @@ def recover_generator(f: PointFunction, member_count: int, index: int) -> int:
 
     Uses the interval form: a point belongs to member N exactly when f
     falls in one of the 2**(N-1) half-open intervals obtained by fixing
-    the earlier binary digits and requiring digit N to be 1.  Direct
-    ternary-digit extraction (:func:`ternary_digit`) is the independent
-    oracle this must agree with.
+    the earlier binary digits and requiring digit N to be 1.  Interval i
+    has the bits of i, most significant first, as those earlier digits, so
+    the intervals ascend with i and each point bisects them, O(N**2) per
+    point, without listing them.  Direct ternary-digit extraction
+    (:func:`ternary_digit`) is the independent oracle this must agree with.
     """
     if not 1 <= index <= member_count:
         raise ValueError(f"member index {index} outside 1..{member_count}")
+    # Values in units of 3**-member_count, where every embedding is whole.
     scale = 3**member_count
+    ticks = []
     for x in f.values:
-        frac = Fraction(x)
-        if not 0 <= frac < 1 or (frac * scale).denominator != 1:
+        frac = Fraction(x) * scale
+        if not 0 <= frac < scale or frac.denominator != 1:
             raise ValueError("f is not a ternary embedding of the stated size")
+        ticks.append(int(frac))
 
-    step = Fraction(1, 3**index)
-    intervals = []
-    for bits in product((0, 1), repeat=index - 1):
-        lo = sum((a * Fraction(1, 3**k) for k, a in enumerate(bits, start=1)), step)
-        intervals.append((lo, lo + step))
+    width = 3 ** (member_count - index)  # the length 3**-index of each interval
 
+    def lower_end(i: int) -> int:
+        lo = width
+        for k in range(1, index):
+            if i >> (index - 1 - k) & 1:
+                lo += 3 ** (member_count - k)
+        return lo
+
+    intervals = range(2 ** (index - 1))
     mask = 0
-    for p, x in enumerate(f.values):
-        if any(lo <= x < hi for lo, hi in intervals):
+    for p, t in enumerate(ticks):
+        i = bisect_right(intervals, t, key=lower_end) - 1
+        if i >= 0 and t < lower_end(i) + width:
             mask |= 1 << p
     return mask

@@ -20,7 +20,7 @@ from random import Random
 from typing import Mapping, Sequence
 
 from .chains import Chain, chain_from_order, insert_chain, maximal_chain
-from .scalar import Scalar, format_scalar, resolve_eps, scalar_eq, scalar_ge, scalar_le
+from .scalar import Scalar, format_scalar, resolve_eps, scalar_eq, scalar_ge
 from .setfun import SetFunction, dual_transform, members
 
 
@@ -80,12 +80,7 @@ class AtomicMeasure:
 
     def table(self) -> dict[int, Scalar]:
         """Values on all 2**|carrier| subsets, built by one add per subset."""
-        tbl: dict[int, Scalar] = {0: 0}
-        for p, w in zip(self.points, self.weights):
-            bit = 1 << p
-            for m, x in list(tbl.items()):
-                tbl[m | bit] = x + w
-        return tbl
+        return _subset_sums(self.points, self.weights)
 
     def perturbed(self, point: int, delta: Scalar) -> "AtomicMeasure":
         idx = self.points.index(point)
@@ -100,6 +95,33 @@ class AtomicMeasure:
         }
 
 
+def _subset_sums(points: Sequence[int], weights: Sequence[Scalar]) -> dict[int, Scalar]:
+    """Additive values on every subset of ``points``, one add per subset.
+
+    Subsets come in the order of their local masks (the bits of the
+    positions in ``points``), and each sum adds the weights in ascending
+    point order, so float sums round the same way wherever they are built.
+    """
+    masks: list[int] = [0]
+    sums: list[Scalar] = [0]
+    for p, w in zip(points, weights):
+        bit = 1 << p
+        masks += [m | bit for m in masks]
+        sums += [x + w for x in sums]
+    return dict(zip(masks, sums))
+
+
+def _telescope(
+    values: Sequence[Scalar] | Mapping[int, Scalar], chain: Chain
+) -> tuple[Scalar, ...]:
+    """Atoms of the telescoped measure in ascending point order: the atom at
+    each point is the increment of ``values`` across the step adding it."""
+    by_point: dict[int, Scalar] = {}
+    for prev, cur, added in chain.steps():
+        by_point[added.bit_length() - 1] = values[cur] - values[prev]
+    return tuple(by_point[p] for p in sorted(by_point))
+
+
 def chain_measure(v: SetFunction, chain: Chain) -> AtomicMeasure:
     """Telescope v along a maximal chain: the atom at each added point is
     the increment of v across that step.
@@ -111,10 +133,7 @@ def chain_measure(v: SetFunction, chain: Chain) -> AtomicMeasure:
     if not chain.is_maximal:
         raise ValueError("chain is not maximal: per-point weights are undefined")
     v.ground.check_subset(chain.carrier)
-    by_point: dict[int, Scalar] = {}
-    for prev, cur, added in chain.steps():
-        by_point[added.bit_length() - 1] = v.table[cur] - v.table[prev]
-    return AtomicMeasure.from_weights(chain.carrier, by_point)
+    return AtomicMeasure(chain.carrier, members(chain.carrier), _telescope(v.table, chain))
 
 
 def weights_from_chain_values(chain: Chain, values: Mapping[int, Scalar]) -> AtomicMeasure:
@@ -127,12 +146,11 @@ def weights_from_chain_values(chain: Chain, values: Mapping[int, Scalar]) -> Ato
     """
     if not chain.is_maximal:
         raise ValueError("chain is not maximal: atoms are not pinned")
-    by_point: dict[int, Scalar] = {}
-    for prev, cur, added in chain.steps():
-        if prev not in values or cur not in values:
-            raise ValueError("values must cover every chain member")
-        by_point[added.bit_length() - 1] = values[cur] - values[prev]
-    return AtomicMeasure.from_weights(chain.carrier, by_point)
+    try:
+        weights = _telescope(values, chain)
+    except KeyError:
+        raise ValueError("values must cover every chain member") from None
+    return AtomicMeasure(chain.carrier, members(chain.carrier), weights)
 
 
 # -- core membership ----------------------------------------------------------
@@ -154,24 +172,23 @@ class CoreCheck:
 
 def _scan_core(
     tbl: dict[int, Scalar],
-    mu: AtomicMeasure,
-    v: SetFunction,
+    points: Sequence[int],
+    weights: Sequence[Scalar],
+    values: Sequence[Scalar],
+    carrier: int,
     lower: bool,
-    eps: float | None,
+    tol: Scalar,
 ) -> CoreCheck:
-    carrier = mu.carrier
-    negative = tuple(p for p, w in zip(mu.points, mu.weights) if not scalar_ge(w, 0, eps))
-    vt = v.table
-    mass_ok = scalar_eq(tbl[carrier], vt[carrier], eps)
-    if mu.exact and v.exact:
-        if lower:
-            violations = tuple(m for m, x in tbl.items() if x > vt[m])
-        else:
-            violations = tuple(m for m, x in tbl.items() if x < vt[m])
+    """Core scan of the measure with subset values ``tbl`` and atoms
+    ``weights`` at ``points`` against the set function values ``values``,
+    on ``carrier``, slack by ``tol`` (0 in exact mode)."""
+    negative = tuple(p for p, w in zip(points, weights) if w + tol < 0)
+    # scalar_eq also rejects a float measure checked against an exact v
+    mass_ok = scalar_eq(tbl[carrier], values[carrier], tol)
+    if lower:
+        violations = tuple(m for m, x in tbl.items() if x > values[m] + tol)
     else:
-        cmp = scalar_le if lower else scalar_ge
-        tol = resolve_eps(eps)
-        violations = tuple(m for m, x in tbl.items() if not cmp(x, vt[m], tol))
+        violations = tuple(m for m, x in tbl.items() if x + tol < values[m])
     return CoreCheck(mass_ok, negative, violations, len(tbl))
 
 
@@ -186,7 +203,8 @@ def core_check(
     Lower core: mu(A) = v(A), mu(E) <= v(E) for every E inside A, and all
     weights nonnegative.  Upper core mirrors the inequality.
     """
-    return _scan_core(mu.table(), mu, v, lower, eps)
+    tol = _tolerance(mu.exact and v.exact, eps)
+    return _scan_core(mu.table(), mu.points, mu.weights, v.table, mu.carrier, lower, tol)
 
 
 def in_lower_core(
@@ -272,9 +290,15 @@ class VerificationReport:
         return out
 
 
+def _tolerance(exact: bool, eps: float | None) -> Scalar:
+    """The one tolerance a check uses throughout: 0 in exact mode, which
+    never reads it, else the resolved float (read once per call)."""
+    return 0 if exact else resolve_eps(eps)
+
+
 def _resolve_base(v: SetFunction, base: Chain | Sequence[int] | None) -> Chain:
     if base is None:
-        return maximal_chain(v.ground, range(v.ground.n))
+        return v._cached(("base chain",), lambda: maximal_chain(v.ground, range(v.ground.n)))
     if isinstance(base, Chain):
         if base.carrier != v.ground.full or not base.is_maximal:
             raise ValueError("base chain must be maximal on the full ground set")
@@ -282,39 +306,57 @@ def _resolve_base(v: SetFunction, base: Chain | Sequence[int] | None) -> Chain:
     return maximal_chain(v.ground, tuple(base))
 
 
-def _precondition_claims(v: SetFunction, submodular: bool, eps: float | None) -> list[Claim]:
+def _precondition_claims(v: SetFunction, submodular: bool, tol: Scalar) -> list[Claim]:
     kind = "submodular" if submodular else "supermodular"
-    structural = v.is_submodular(eps) if submodular else v.is_supermodular(eps)
+    structural = v.is_submodular(tol) if submodular else v.is_supermodular(tol)
     return [
-        Claim("v(empty) = 0", "precondition", (0,), v.table[0], 0, v.is_grounded(eps)),
-        Claim("v non-decreasing", "precondition", passed=v.is_monotone(eps)),
+        Claim("v(empty) = 0", "precondition", (0,), v.table[0], 0, v.is_grounded(tol)),
+        Claim("v non-decreasing", "precondition", passed=v.is_monotone(tol)),
         Claim(f"v {kind}", "precondition", passed=structural),
     ]
 
 
-def _construction_claims(
+def _direct_route(
     v: SetFunction,
-    chain: Chain,
-    mu: AtomicMeasure,
+    a: int,
     b: int,
+    base: Chain | Sequence[int] | None,
     lower: bool,
-    eps: float | None,
-) -> tuple[list[Claim], CoreCheck]:
-    a = chain.carrier
-    claims: list[Claim] = []
-    tbl = mu.table()
+    tol: Scalar,
+) -> tuple[VerificationReport, Chain, Chain, CoreCheck]:
+    """Telescope v along the insertion of B into A and check the
+    construction: chain agreement, lower (or upper) core membership
+    exhaustively over all subsets of A, and attainment at B.
 
-    chain_bad = [s for s in chain.sets if not scalar_eq(tbl[s], v.table[s], eps)]
-    claims.append(
+    The checks run on v's scaled table (:meth:`SetFunction.scaled_table`),
+    with ``tol`` as the slack (0 in exact mode); values go back to v's
+    units, as Fractions, only in the witness and the claims.  Returns the
+    construction-only report together with the base chain, the inserted
+    chain and the core scan.
+    """
+    v.ground.check_subset(a)
+    if b & ~a:
+        raise ValueError("b must lie within a")
+    base_chain = _resolve_base(v, base)
+    chain = insert_chain(base_chain, a, b)
+    values, scale = v.scaled_table()
+    unscale = (lambda x: Fraction(x, scale)) if v.exact else (lambda x: x)
+    points = members(a)
+    weights = _telescope(values, chain)
+    tbl = _subset_sums(points, weights)
+    check = _scan_core(tbl, points, weights, values, a, lower, tol)
+    mu = AtomicMeasure(a, points, tuple(map(unscale, weights)))
+    vt = v.table
+
+    chain_bad = [s for s in chain.sets if abs(tbl[s] - values[s]) > tol]
+    claims = [
         Claim("mu agrees with v on every chain member", "chain",
               (a, b), len(chain_bad), 0, not chain_bad)
-    )
+    ]
     claims.extend(
-        Claim("mu(I) = v(I)", "chain", (s,), tbl[s], v.table[s], False) for s in chain_bad
+        Claim("mu(I) = v(I)", "chain", (s,), unscale(tbl[s]), vt[s], False) for s in chain_bad
     )
-
-    check = _scan_core(tbl, mu, v, lower, eps)
-    claims.append(Claim("mu(A) = v(A)", "core", (a,), tbl[a], v.table[a], check.mass_ok))
+    claims.append(Claim("mu(A) = v(A)", "core", (a,), unscale(tbl[a]), vt[a], check.mass_ok))
     claims.append(
         Claim("all weights nonnegative", "core", (a,),
               len(check.negative_points), 0, not check.negative_points)
@@ -329,37 +371,12 @@ def _construction_claims(
               len(check.violations), 0, not check.violations)
     )
     claims.extend(
-        Claim(f"mu(E) {rel} v(E)", "core", (m,), tbl[m], v.table[m], False)
+        Claim(f"mu(E) {rel} v(E)", "core", (m,), unscale(tbl[m]), vt[m], False)
         for m in check.violations
     )
+    attained = abs(tbl[b] - values[b]) <= tol
+    claims.append(Claim("mu(B) = v(B)", "attainment", (b,), unscale(tbl[b]), vt[b], attained))
 
-    attained = scalar_eq(tbl[b], v.table[b], eps)
-    claims.append(Claim("mu(B) = v(B)", "attainment", (b,), tbl[b], v.table[b], attained))
-    return claims, check
-
-
-def _direct_route(
-    v: SetFunction,
-    a: int,
-    b: int,
-    base: Chain | Sequence[int] | None,
-    lower: bool,
-    eps: float | None,
-) -> tuple[VerificationReport, Chain, Chain, CoreCheck]:
-    """Telescope v along the insertion of B into A and check the
-    construction: chain agreement, lower (or upper) core membership
-    exhaustively over all subsets of A, and attainment at B.
-
-    Returns the construction-only report together with the base chain,
-    the inserted chain and the core scan.
-    """
-    v.ground.check_subset(a)
-    if b & ~a:
-        raise ValueError("b must lie within a")
-    base_chain = _resolve_base(v, base)
-    chain = insert_chain(base_chain, a, b)
-    mu = chain_measure(v, chain)
-    claims, check = _construction_claims(v, chain, mu, b, lower, eps)
     report = VerificationReport(
         kind="sup-attainment" if lower else "inf-attainment",
         context={
@@ -393,8 +410,9 @@ def verify_sup_representation(
     Precondition failures are reported, never raised, so the same routine
     doubles as the counterexample probe for non-submodular input.
     """
-    report, *_ = _direct_route(v, a, b, base, lower=True, eps=eps)
-    report.claims[:0] = _precondition_claims(v, submodular=True, eps=eps)
+    tol = _tolerance(v.exact, eps)
+    report, *_ = _direct_route(v, a, b, base, lower=True, tol=tol)
+    report.claims[:0] = _precondition_claims(v, submodular=True, tol=tol)
     return report
 
 
@@ -407,11 +425,12 @@ def verify_uniqueness(
 ) -> bool:
     """Any measure agreeing with v on the inserted chain has exactly the
     chain measure's weights: reconstruct them from the chain values alone
-    and compare atom by atom."""
+    and compare atom by atom (on v's scaled table)."""
+    tol = _tolerance(v.exact, eps)
     chain = insert_chain(_resolve_base(v, base), a, b)
-    mu = chain_measure(v, chain)
-    rebuilt = weights_from_chain_values(chain, {s: v.table[s] for s in chain.sets})
-    return all(scalar_eq(x, y, eps) for x, y in zip(mu.weights, rebuilt.weights))
+    values, _ = v.scaled_table()
+    rebuilt = weights_from_chain_values(chain, {s: values[s] for s in chain.sets})
+    return all(abs(x - y) <= tol for x, y in zip(_telescope(values, chain), rebuilt.weights))
 
 
 def _local_mask(global_mask: int, pts: Sequence[int]) -> int:
@@ -420,6 +439,18 @@ def _local_mask(global_mask: int, pts: Sequence[int]) -> int:
         if global_mask >> p & 1:
             local |= 1 << i
     return local
+
+
+def _restricted_dual(v: SetFunction, a: int) -> tuple[SetFunction, tuple[int, ...]]:
+    """The complement dual of v restricted to A, with the map from local
+    point index to point; memoised on v per A, since it does not depend
+    on B."""
+
+    def compute() -> tuple[SetFunction, tuple[int, ...]]:
+        restricted, pts = v.restrict(a)
+        return dual_transform(restricted), pts
+
+    return v._cached(("restricted dual", a), compute)
 
 
 def verify_inf_representation(
@@ -440,8 +471,9 @@ def verify_inf_representation(
     for claim under the complement correspondence; the agreement is itself
     recorded as consistency claims.
     """
-    report, base_chain, chain, check = _direct_route(v, a, b, base, lower=False, eps=eps)
-    report.claims[:0] = _precondition_claims(v, submodular=False, eps=eps)
+    tol = _tolerance(v.exact, eps)
+    report, base_chain, chain, check = _direct_route(v, a, b, base, lower=False, tol=tol)
+    report.claims[:0] = _precondition_claims(v, submodular=False, tol=tol)
     mu = report.witness
     assert mu is not None
 
@@ -452,9 +484,8 @@ def verify_inf_representation(
         return report
 
     # Dual route on the restriction of v to A.
-    restricted, pts = v.restrict(a)
-    w = dual_transform(restricted)
-    local_full = restricted.ground.full
+    w, pts = _restricted_dual(v, a)
+    local_full = w.ground.full
     local_base = Chain(
         local_full,
         tuple(_local_mask(s, pts) for s in base_chain.restrict(a).sets),
@@ -462,13 +493,13 @@ def verify_inf_representation(
     local_b = local_full ^ _local_mask(b, pts)
     # The dual's preconditions are equivalent to v's (already claimed above),
     # so the inner run checks only the construction.
-    dual_report, *_ = _direct_route(w, local_full, local_b, local_base, lower=True, eps=eps)
+    dual_report, *_ = _direct_route(w, local_full, local_b, local_base, lower=True, tol=tol)
     report.dual = dual_report
 
     dual_mu = dual_report.witness
     assert dual_mu is not None
     weights_match = all(
-        scalar_eq(mu.weight(p), dual_mu.weight(i), eps) for i, p in enumerate(pts)
+        scalar_eq(mu.weight(p), dual_mu.weight(i), tol) for i, p in enumerate(pts)
     )
     chains_match = tuple(dual_report.context["chain"]) == tuple(
         sorted((local_full ^ _local_mask(s, pts) for s in chain.sets),
@@ -476,8 +507,8 @@ def verify_inf_representation(
     )
     direct_viol = {local_full ^ _local_mask(m, pts) for m in check.violations}
     dual_viol = set(dual_report.context["core_violations"])
-    direct_attained = scalar_eq(mu(b), v.table[b], eps)
-    dual_attained = scalar_eq(dual_mu(local_b), w.table[local_b], eps)
+    direct_attained = scalar_eq(mu(b), v.table[b], tol)
+    dual_attained = scalar_eq(dual_mu(local_b), w.table[local_b], tol)
 
     report.claims.extend(
         [
@@ -526,10 +557,11 @@ def find_sup_counterexample(
     formula forces the submodular inequality), so for non-submodular
     monotone grounded input this always finds a witness pair.
     """
+    tol = _tolerance(v.exact, eps)
     for a in v.ground.subsets():
         sub = a
         while True:
-            report = verify_sup_representation(v, a, sub, base=base, eps=eps)
+            report = verify_sup_representation(v, a, sub, base=base, eps=tol)
             if not report.construction_passed:
                 return a, sub
             if sub == 0:

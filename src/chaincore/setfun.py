@@ -12,6 +12,7 @@ so no operation here represents them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
@@ -23,8 +24,6 @@ from .scalar import (
     format_scalar,
     resolve_eps,
     scalar_eq,
-    scalar_le,
-    scalar_ge,
 )
 
 #: Hard cap on ground-set size; dense tables are 2**n entries.
@@ -204,19 +203,48 @@ class SetFunction:
         base = self.table[0]
         return SetFunction(self.ground, tuple(x - base for x in self.table))
 
+    # -- per-instance memo and the scaled view -------------------------------
+
+    def _cached(self, key: tuple, compute: Callable[[], object]):
+        """Value of ``compute()`` memoised on this instance under ``key``.
+
+        The table is immutable, so anything that depends on it alone (and
+        on ``key``) is computed once and dropped together with the instance.
+        """
+        memo = self._memo  # type: ignore[attr-defined]
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
+
+    def scaled_table(self) -> tuple[tuple[Scalar, ...], int]:
+        """The table times a positive scale ``L``, and ``L``.
+
+        An exact table becomes Python ints, with ``L`` the lcm of its
+        denominators.  Every predicate and claim chaincore checks is a
+        linear equality or inequality in v, so it holds for ``L * v``
+        exactly when it holds for v; checks run on these ints, and a value
+        is divided by ``L`` only where it is reported.  A float table is
+        returned as it is, with ``L = 1``.
+        """
+        return self._cached(("scaled",), self._scale)
+
+    def _scale(self) -> tuple[tuple[Scalar, ...], int]:
+        if not self.exact:
+            return self.table, 1
+        scale = math.lcm(*(x.denominator for x in self.table))
+        return tuple(x.numerator * (scale // x.denominator) for x in self.table), scale
+
     # -- structural predicates ------------------------------------------------
 
     def _memoized(
-        self, key: tuple, eps: float | None, compute: Callable[[float | None], bool]
+        self, key: tuple, eps: float | None, compute: Callable[[Scalar], bool]
     ) -> bool:
-        """Memoised predicate: exact mode ignores the tolerance, float mode
-        keys the result by the resolved eps (so a changed CHAINCORE_EPS is
-        recomputed, never answered from the memo)."""
-        tol = None if self.exact else resolve_eps(eps)
-        memo = self._memo  # type: ignore[attr-defined]
-        if (key, tol) not in memo:
-            memo[key, tol] = compute(tol)
-        return memo[key, tol]
+        """Memoised predicate, computed on the scaled table with tolerance 0
+        in exact mode (which never reads the tolerance) and the resolved eps
+        in float mode, and keyed by that tolerance (so a changed
+        CHAINCORE_EPS is recomputed, never answered from the memo)."""
+        tol = 0 if self.exact else resolve_eps(eps)
+        return self._cached((key, tol), lambda: compute(tol))
 
     def is_grounded(self, eps: float | None = None) -> bool:
         return scalar_eq(self.table[0], 0, eps)
@@ -226,14 +254,14 @@ class SetFunction:
         transitivity on the finite subset lattice)."""
         return self._memoized(("monotone",), eps, self._monotone)
 
-    def _monotone(self, eps: float | None) -> bool:
+    def _monotone(self, tol: Scalar) -> bool:
+        values, _ = self.scaled_table()
         full = self.ground.full
-        table = self.table
-        for mask in self.ground.subsets():
+        for mask, x in enumerate(values):
             rest = full & ~mask
             while rest:
                 bit = rest & -rest
-                if not scalar_le(table[mask], table[mask | bit], eps):
+                if not x <= values[mask | bit] + tol:
                     return False
                 rest ^= bit
         return True
@@ -252,26 +280,31 @@ class SetFunction:
         return self._memoized(("supermodular", exhaustive), eps,
                               lambda tol: self._modularity(True, tol, exhaustive))
 
-    def _modularity(self, lower: bool, eps: float | None, exhaustive: bool) -> bool:
-        table = self.table
-        cmp = scalar_le if lower else scalar_ge
+    def _modularity(self, lower: bool, tol: Scalar, exhaustive: bool) -> bool:
+        """v(X) + v(Y) against v(X|Y) + v(X&Y): at most it (``lower``,
+        supermodular) or at least it (submodular), up to ``tol``."""
+        values, _ = self.scaled_table()
+        quads = self._pairs(exhaustive)
+        if lower:
+            return all(values[x] + values[y] <= values[u] + values[m] + tol
+                       for x, y, u, m in quads)
+        return all(values[x] + values[y] + tol >= values[u] + values[m]
+                   for x, y, u, m in quads)
+
+    def _pairs(self, exhaustive: bool) -> Iterator[tuple[int, int, int, int]]:
+        """(X, Y, X|Y, X&Y) over all ordered pairs, or over the pairwise
+        increments (S+i, S+j, S+i+j, S) with i < j outside S."""
         if exhaustive:
             for a in self.ground.subsets():
                 for b in self.ground.subsets():
-                    if not cmp(table[a] + table[b], table[a | b] + table[a & b], eps):
-                        return False
-            return True
-        n = self.ground.n
+                    yield a, b, a | b, a & b
+            return
         full = self.ground.full
         for mask in self.ground.subsets():
-            outside = members(full & ~mask)
+            outside = [1 << i for i in members(full & ~mask)]
             for x, i in enumerate(outside):
                 for j in outside[x + 1 :]:
-                    lhs = table[mask | 1 << i] + table[mask | 1 << j]
-                    rhs = table[mask | 1 << i | 1 << j] + table[mask]
-                    if not cmp(lhs, rhs, eps):
-                        return False
-        return True
+                    yield mask | i, mask | j, mask | i | j, mask
 
     def is_additive(self, eps: float | None = None) -> bool:
         """Modular: both submodular and supermodular (equality throughout)."""

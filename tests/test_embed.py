@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from chaincore import (
     GeneratingFamily,
     GroundSet,
+    PointFunction,
     chain_generates,
     embed_chain,
     generated_algebra,
@@ -16,6 +18,7 @@ from chaincore import (
     ternary_digit,
     ternary_embed,
 )
+from chaincore.embed import MAX_MEMBERS
 
 
 @pytest.fixture
@@ -107,6 +110,38 @@ def test_round_trip_random_families():
                 if ternary_digit(x, idx) == 1:
                     via_digits |= 1 << p
             assert via_intervals == via_digits
+
+
+def test_recover_full_size_family_matches_digits():
+    # MAX_MEMBERS members: listing the 2**23 intervals of the last one
+    # would not finish; bisecting them takes O(N**2) per point.
+    rng = Random(2468)
+    g = GroundSet(16)
+    fam = GeneratingFamily(g, tuple(rng.randrange(1 << 16) for _ in range(MAX_MEMBERS)))
+    f = ternary_embed(fam)
+    for idx in range(1, MAX_MEMBERS + 1):
+        via_digits = sum(1 << p for p, x in enumerate(f.values) if ternary_digit(x, idx) == 1)
+        assert recover_generator(f, MAX_MEMBERS, idx) == via_digits == fam.subsets[idx - 1]
+
+
+def test_recover_bisection_matches_listed_intervals():
+    # Every multiple of 3**-m in [0, 1), digits 2 included, against the
+    # membership test over the listed intervals.
+    for m in range(1, 6):
+        values = [Fraction(t, 3**m) for t in range(3**m)]
+        for idx in range(1, m + 1):
+            step = Fraction(1, 3**idx)
+            lows = [
+                step + sum(Fraction(d, 3**k) for k, d in enumerate(bits, start=1))
+                for bits in product((0, 1), repeat=idx - 1)
+            ]
+            for start in range(0, len(values), 24):
+                chunk = values[start : start + 24]
+                f = PointFunction(GroundSet(len(chunk)), tuple(chunk))
+                expected = sum(
+                    1 << p for p, x in enumerate(chunk) if any(lo <= x < lo + step for lo in lows)
+                )
+                assert recover_generator(f, m, idx) == expected
 
 
 def test_separating_families_give_maximal_chains():

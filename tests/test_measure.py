@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 from itertools import permutations
 from random import Random
@@ -7,7 +8,9 @@ import pytest
 from chaincore import (
     AtomicMeasure,
     Chain,
+    EPS_ENV_VAR,
     GroundSet,
+    PointFunction,
     SetFunction,
     chain_measure,
     find_sup_counterexample,
@@ -21,6 +24,7 @@ from chaincore import (
     sample_core,
     verify_inf_representation,
     verify_sup_representation,
+    verify_choquet_sup,
     verify_uniqueness,
     weights_from_chain_values,
 )
@@ -363,3 +367,41 @@ def test_core_rejects_signed_measure():
     mu = chain_measure(v, maximal_chain(g, (0, 1)))  # weight -1 at point 1
     assert not in_lower_core(mu, v)
     assert not in_upper_core(mu, v)
+
+
+# -- one tolerance per check ---------------------------------------------------------
+
+
+class _CountingEnviron(dict):
+    """An ``os.environ`` stand-in that counts reads of the tolerance variable."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        if key == EPS_ENV_VAR:
+            self.reads += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        if key == EPS_ENV_VAR:
+            self.reads += 1
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("check", ["inf", "sup", "uniqueness", "counterexample", "choquet"])
+def test_float_check_reads_the_tolerance_once(monkeypatch, check):
+    exact = random_supermodular(5, 21) if check == "inf" else random_monotone_nonsubmodular(5, 22)
+    v = SetFunction(exact.ground, tuple(float(x) for x in exact.table))
+    full = v.ground.full
+    env = _CountingEnviron(os.environ, **{EPS_ENV_VAR: "1e-9"})
+    monkeypatch.setattr(os, "environ", env)
+    run = {
+        "inf": lambda: verify_inf_representation(v, full, 0b01001),
+        "sup": lambda: verify_sup_representation(v, full, 0b01001),
+        "uniqueness": lambda: verify_uniqueness(v, full, 0b01001),
+        "counterexample": lambda: find_sup_counterexample(v),
+        "choquet": lambda: verify_choquet_sup(
+            v, PointFunction(v.ground, (3.0, 1.0, 2.0, 1.0, 0.5)), samples=4),
+    }[check]
+    run()
+    assert env.reads <= 1

@@ -1,0 +1,212 @@
+"""The checks run on each table scaled to integers; these tests pin that
+down from outside.
+
+* Differential: every report matches what the public Fraction functions
+  (``insert_chain``, ``chain_measure``, ``core_check``) rebuild on their
+  own, in exact and in float mode.
+* Scaling invariance: for any exact v and positive rational c, every
+  verdict on ``c * v`` equals the one on v, and every reported value is
+  c times the one on v.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from random import Random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chaincore import (
+    GroundSet,
+    PointFunction,
+    SetFunction,
+    chain_measure,
+    core_check,
+    insert_chain,
+    iter_submasks,
+    maximal_chain,
+    random_monotone_nonsubmodular,
+    random_submodular,
+    random_supermodular,
+    resolve_eps,
+    scalar_eq,
+    verify_choquet_sup,
+    verify_inf_representation,
+    verify_sup_representation,
+    verify_uniqueness,
+)
+
+
+def _primes(count: int) -> list[int]:
+    found: list[int] = []
+    k = 2
+    while len(found) < count:
+        if all(k % p for p in found):
+            found.append(k)
+        k += 1
+    return found
+
+
+def coprime_capacity(n: int = 5) -> SetFunction:
+    """v(S) = 10|S| - |S|**2 + 1/p_S with a distinct prime p_S per nonempty S.
+
+    The second differences of the integer part are -2 and the fractions
+    move each submodular gap by less than 1, so v is grounded, monotone and
+    submodular, and the lcm of its denominators is the product of 2**n - 1
+    primes.
+    """
+    primes = iter(_primes((1 << n) - 1))
+    table = [Fraction(0)]
+    for mask in range(1, 1 << n):
+        k = mask.bit_count()
+        table.append(10 * k - k * k + Fraction(1, next(primes)))
+    return SetFunction(GroundSet(n), tuple(table))
+
+
+def signed_table(n: int, seed: int) -> SetFunction:
+    """Seeded random values: neither grounded nor monotone, so the witness
+    has negative atoms and every claim can fail."""
+    rng = Random(seed)
+    return SetFunction(GroundSet(n), tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                                           for _ in range(1 << n)))
+
+
+INSTANCES = {
+    "sub4": random_submodular(4, 11),
+    "sub5": random_submodular(5, 12),
+    "super4": random_supermodular(4, 13),
+    "super5": random_supermodular(5, 14),
+    "non4": random_monotone_nonsubmodular(4, 15),
+    "non5": random_monotone_nonsubmodular(5, 16),
+    "coprime5": coprime_capacity(5),
+    "signed4": signed_table(4, 17),
+}
+
+
+def _as_float(v: SetFunction) -> SetFunction:
+    return SetFunction(v.ground, tuple(float(x) for x in v.table))
+
+
+def _expected_construction(v: SetFunction, a: int, b: int, lower: bool) -> tuple:
+    """Witness weights, core scan and construction claims, rebuilt from the
+    public Fraction functions."""
+    eps = 0 if v.exact else resolve_eps()
+    chain = insert_chain(maximal_chain(v.ground, range(v.ground.n)), a, b)
+    mu = chain_measure(v, chain)
+    check = core_check(mu, v, lower=lower)
+    tbl = mu.table()
+    vt = v.table
+    bad = [s for s in chain.sets if not scalar_eq(tbl[s], vt[s], eps)]
+    rel = "<=" if lower else ">="
+    claims = [
+        ("mu agrees with v on every chain member", (a, b), len(bad), 0, not bad),
+        *(("mu(I) = v(I)", (s,), tbl[s], vt[s], False) for s in bad),
+        ("mu(A) = v(A)", (a,), tbl[a], vt[a], check.mass_ok),
+        ("all weights nonnegative", (a,), len(check.negative_points), 0,
+         not check.negative_points),
+        *(("weight >= 0", (1 << p,), mu.weight(p), 0, False) for p in check.negative_points),
+        (f"mu(E) {rel} v(E) for all E in A", (a,), len(check.violations), 0,
+         not check.violations),
+        *((f"mu(E) {rel} v(E)", (m,), tbl[m], vt[m], False) for m in check.violations),
+        ("mu(B) = v(B)", (b,), tbl[b], vt[b], scalar_eq(tbl[b], vt[b], eps)),
+    ]
+    return chain, mu, check, claims
+
+
+def test_coprime_instance_scale_is_multi_limb():
+    v = coprime_capacity(5)
+    values, scale = v.scaled_table()
+    assert scale.bit_length() > 150
+    assert all(type(x) is int for x in values)
+    assert all(Fraction(x, scale) == y for x, y in zip(values, v.table))
+    assert v.is_grounded() and v.is_monotone() and v.is_submodular()
+
+
+def test_reports_match_the_public_fraction_functions():
+    compared = 0
+    for name, exact_v in INSTANCES.items():
+        for v in (exact_v, _as_float(exact_v)):
+            for a in v.ground.subsets():
+                for b in iter_submasks(a):
+                    for lower, verify in ((True, verify_sup_representation),
+                                          (False, verify_inf_representation)):
+                        report = verify(v, a, b)
+                        chain, mu, check, claims = _expected_construction(v, a, b, lower)
+                        where = (name, v.exact, a, b, lower)
+                        assert report.witness.weights == mu.weights, where
+                        assert report.context["chain"] == list(chain.sets), where
+                        assert report.context["core_violations"] == list(check.violations), where
+                        assert report.context["negative_points"] == list(
+                            check.negative_points), where
+                        got = [(c.claim, c.subsets, c.lhs, c.rhs, c.passed)
+                               for c in report.claims
+                               if c.category not in ("precondition", "consistency")]
+                        assert got == claims, where
+                        compared += 1
+    assert compared == 2 * 2 * sum(3 ** v.ground.n for v in INSTANCES.values())
+
+
+# -- scaling invariance ---------------------------------------------------------------
+
+FRACTIONS = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+
+
+@st.composite
+def exact_instances(draw) -> SetFunction:
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(("sub", "super", "non", "table")))
+    seed = draw(st.integers(0, 10**6))
+    if kind == "sub":
+        return random_submodular(n, seed)
+    if kind == "super":
+        return random_supermodular(n, seed)
+    if kind == "non" and n >= 2:
+        return random_monotone_nonsubmodular(n, seed)
+    return SetFunction(GroundSet(n), tuple(draw(st.lists(FRACTIONS, min_size=1 << n,
+                                                         max_size=1 << n))))
+
+
+POSITIVE = st.builds(Fraction, st.integers(1, 10**12), st.integers(1, 10**12))
+
+
+def _scaled(x: object, c: Fraction) -> object:
+    """A reported value scales with v; counts and flags do not."""
+    return c * x if isinstance(x, Fraction) else x
+
+
+def _assert_report_scales(r1, r2, c: Fraction) -> None:
+    assert r1.passed == r2.passed
+    assert r2.witness.weights == tuple(c * w for w in r1.witness.weights)
+    assert len(r1.claims) == len(r2.claims)
+    for k1, k2 in zip(r1.claims, r2.claims):
+        assert (k2.claim, k2.category, k2.subsets, k2.passed) == (
+            k1.claim, k1.category, k1.subsets, k1.passed)
+        assert k2.lhs == _scaled(k1.lhs, c) and k2.rhs == _scaled(k1.rhs, c)
+    assert (r1.dual is None) == (r2.dual is None)
+    if r1.dual is not None:
+        _assert_report_scales(r1.dual, r2.dual, c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(v=exact_instances(), c=POSITIVE, data=st.data())
+def test_verdicts_and_values_scale_with_v(v, c, data):
+    w = SetFunction(v.ground, tuple(c * x for x in v.table))
+    for exhaustive in (False, True):
+        assert v.is_submodular(exhaustive=exhaustive) == w.is_submodular(exhaustive=exhaustive)
+        assert v.is_supermodular(exhaustive=exhaustive) == w.is_supermodular(
+            exhaustive=exhaustive)
+    assert v.is_grounded() == w.is_grounded()
+    assert v.is_monotone() == w.is_monotone()
+
+    for a in v.ground.subsets():
+        for b in iter_submasks(a):
+            for verify in (verify_sup_representation, verify_inf_representation):
+                _assert_report_scales(verify(v, a, b), verify(w, a, b), c)
+            assert verify_uniqueness(v, a, b) == verify_uniqueness(w, a, b)
+
+    f = PointFunction(v.ground, tuple(data.draw(st.lists(FRACTIONS, min_size=v.ground.n,
+                                                         max_size=v.ground.n))))
+    samples = data.draw(st.integers(1, 6))
+    _assert_report_scales(verify_choquet_sup(v, f, samples=samples),
+                          verify_choquet_sup(w, f, samples=samples), c)
