@@ -122,18 +122,23 @@ def maximal_chain(ground: GroundSet, order: Sequence[int]) -> Chain:
 def insert_chain(base: Chain, a: int, b: int) -> Chain:
     """Chain on carrier ``a`` containing ``b`` as a member.
 
-    Built as the union of ``b & r`` and ``b | r`` over the restriction
-    ``r`` of the base chain to ``a``, deduplicated and sorted by
-    inclusion.  Always contains the empty set, ``b`` and ``a``; it is
-    maximal in ``a`` whenever the base chain is maximal.
+    The union of the chains ``b & r`` (up to ``b``) and ``b | r`` (up from
+    ``b``) over the base chain's members ``r`` cut to ``a``, listed in one
+    walk.  Always contains the empty set, ``b`` and ``a``; it is maximal
+    in ``a`` whenever the base chain is maximal.
     """
     if a & ~base.carrier:
         raise ValueError("a must lie within the base chain carrier")
     if b & ~a:
         raise ValueError("b must lie within a")
-    restricted = base.restrict(a)
-    merged = {b & r for r in restricted} | {b | r for r in restricted}
-    return Chain(a, tuple(sorted(merged, key=lambda m: (m.bit_count(), m))))
+    lower, upper = [0], [b]
+    for s in base.sets:
+        r = s & a
+        if r & b != lower[-1]:
+            lower.append(r & b)
+        if r | b != upper[-1]:
+            upper.append(r | b)
+    return Chain(a, tuple(lower + upper[1:]))
 
 
 def generated_algebra(sets: Iterable[int], carrier: int) -> frozenset[int]:

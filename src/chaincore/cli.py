@@ -152,7 +152,7 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     family = load_family(args.family)
     f = ternary_embed(family)
     chain = embed_chain(family)
-    indices = [args.recover] if args.recover else list(range(1, len(family) + 1))
+    indices = [args.recover] if args.recover is not None else list(range(1, len(family) + 1))
     recoveries = []
     ok = True
     for idx in indices:

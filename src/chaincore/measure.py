@@ -19,9 +19,9 @@ from fractions import Fraction
 from random import Random
 from typing import Mapping, Sequence
 
-from .chains import Chain, chain_from_order, insert_chain, maximal_chain
+from .chains import Chain, chain_from_order, chain_generates, insert_chain, maximal_chain
 from .scalar import Scalar, format_scalar, resolve_eps, scalar_eq, scalar_ge
-from .setfun import SetFunction, dual_transform, members
+from .setfun import SetFunction, dual_transform, members, subset_masks
 
 
 @dataclass(frozen=True)
@@ -102,13 +102,10 @@ def _subset_sums(points: Sequence[int], weights: Sequence[Scalar]) -> dict[int, 
     positions in ``points``), and each sum adds the weights in ascending
     point order, so float sums round the same way wherever they are built.
     """
-    masks: list[int] = [0]
     sums: list[Scalar] = [0]
-    for p, w in zip(points, weights):
-        bit = 1 << p
-        masks += [m | bit for m in masks]
+    for w in weights:
         sums += [x + w for x in sums]
-    return dict(zip(masks, sums))
+    return dict(zip(subset_masks(points), sums))
 
 
 def _telescope(
@@ -296,14 +293,16 @@ def _tolerance(exact: bool, eps: float | None) -> Scalar:
     return 0 if exact else resolve_eps(eps)
 
 
-def _resolve_base(v: SetFunction, base: Chain | Sequence[int] | None) -> Chain:
+def _resolve_base(v: SetFunction, base: Chain | Sequence[int] | None) -> tuple[Chain, tuple]:
+    """The maximal base chain on v's ground set and its point order; the default is memoised."""
     if base is None:
-        return v._cached(("base chain",), lambda: maximal_chain(v.ground, range(v.ground.n)))
+        return v._cached(("base chain",), lambda: _resolve_base(v, range(v.ground.n)))
     if isinstance(base, Chain):
         if base.carrier != v.ground.full or not base.is_maximal:
             raise ValueError("base chain must be maximal on the full ground set")
-        return base
-    return maximal_chain(v.ground, tuple(base))
+        return base, base.point_order()
+    order = tuple(base)
+    return maximal_chain(v.ground, order), order
 
 
 def _precondition_claims(v: SetFunction, submodular: bool, tol: Scalar) -> list[Claim]:
@@ -323,7 +322,7 @@ def _direct_route(
     base: Chain | Sequence[int] | None,
     lower: bool,
     tol: Scalar,
-) -> tuple[VerificationReport, Chain, Chain, CoreCheck]:
+) -> tuple[VerificationReport, tuple[int, ...], Chain, CoreCheck]:
     """Telescope v along the insertion of B into A and check the
     construction: chain agreement, lower (or upper) core membership
     exhaustively over all subsets of A, and attainment at B.
@@ -331,13 +330,13 @@ def _direct_route(
     The checks run on v's scaled table (:meth:`SetFunction.scaled_table`),
     with ``tol`` as the slack (0 in exact mode); values go back to v's
     units, as Fractions, only in the witness and the claims.  Returns the
-    construction-only report together with the base chain, the inserted
-    chain and the core scan.
+    construction-only report together with the base chain's point order,
+    the inserted chain and the core scan.
     """
     v.ground.check_subset(a)
     if b & ~a:
         raise ValueError("b must lie within a")
-    base_chain = _resolve_base(v, base)
+    base_chain, base_order = _resolve_base(v, base)
     chain = insert_chain(base_chain, a, b)
     values, scale = v.scaled_table()
     unscale = (lambda x: Fraction(x, scale)) if v.exact else (lambda x: x)
@@ -382,7 +381,7 @@ def _direct_route(
         context={
             "A": a,
             "B": b,
-            "base_order": list(base_chain.point_order()),
+            "base_order": list(base_order),
             "chain": list(chain.sets),
             "core_violations": list(check.violations),
             "negative_points": list(check.negative_points),
@@ -390,7 +389,7 @@ def _direct_route(
         witness=mu,
         claims=claims,
     )
-    return report, base_chain, chain, check
+    return report, base_order, chain, check
 
 
 def verify_sup_representation(
@@ -421,34 +420,23 @@ def verify_uniqueness(
     a: int,
     b: int,
     base: Chain | Sequence[int] | None = None,
-    eps: float | None = None,
 ) -> bool:
-    """Any measure agreeing with v on the inserted chain has exactly the
-    chain measure's weights: reconstruct them from the chain values alone
-    and compare atom by atom (on v's scaled table)."""
-    tol = _tolerance(v.exact, eps)
-    chain = insert_chain(_resolve_base(v, base), a, b)
-    values, _ = v.scaled_table()
-    rebuilt = weights_from_chain_values(chain, {s: values[s] for s in chain.sets})
-    return all(abs(x - y) <= tol for x, y in zip(_telescope(values, chain), rebuilt.weights))
+    """Whether the measure agreeing with v on every member of the
+    insertion of B into A is unique: it is exactly when the inserted chain
+    generates the power set of A, so that consecutive members differ by
+    one point and pin each atom to the increment of v across that step."""
+    return chain_generates(insert_chain(_resolve_base(v, base)[0], a, b))
 
 
-def _local_mask(global_mask: int, pts: Sequence[int]) -> int:
-    local = 0
-    for i, p in enumerate(pts):
-        if global_mask >> p & 1:
-            local |= 1 << i
-    return local
+def _restricted_dual(v: SetFunction, a: int) -> tuple[SetFunction, tuple[int, ...], dict]:
+    """The complement dual of v restricted to A, the map from local point
+    index to point, and the map from each subset of A to its local mask;
+    memoised on v per A, since they do not depend on B."""
 
-
-def _restricted_dual(v: SetFunction, a: int) -> tuple[SetFunction, tuple[int, ...]]:
-    """The complement dual of v restricted to A, with the map from local
-    point index to point; memoised on v per A, since it does not depend
-    on B."""
-
-    def compute() -> tuple[SetFunction, tuple[int, ...]]:
+    def compute() -> tuple[SetFunction, tuple[int, ...], dict]:
         restricted, pts = v.restrict(a)
-        return dual_transform(restricted), pts
+        local = {m: i for i, m in enumerate(subset_masks(pts))}
+        return dual_transform(restricted), pts, local
 
     return v._cached(("restricted dual", a), compute)
 
@@ -472,7 +460,7 @@ def verify_inf_representation(
     recorded as consistency claims.
     """
     tol = _tolerance(v.exact, eps)
-    report, base_chain, chain, check = _direct_route(v, a, b, base, lower=False, tol=tol)
+    report, base_order, chain, check = _direct_route(v, a, b, base, lower=False, tol=tol)
     report.claims[:0] = _precondition_claims(v, submodular=False, tol=tol)
     mu = report.witness
     assert mu is not None
@@ -483,29 +471,24 @@ def verify_inf_representation(
         )
         return report
 
-    # Dual route on the restriction of v to A.
-    w, pts = _restricted_dual(v, a)
+    # Dual route on the restriction of v to A.  Its base adds A's points in
+    # the reverse of the base order: the complemented restriction of the base.
+    w, pts, local = _restricted_dual(v, a)
     local_full = w.ground.full
-    local_base = Chain(
-        local_full,
-        tuple(_local_mask(s, pts) for s in base_chain.restrict(a).sets),
-    ).complement()
-    local_b = local_full ^ _local_mask(b, pts)
+    local_order = [pts.index(p) for p in reversed(base_order) if a >> p & 1]
+    local_b = local_full ^ local[b]
     # The dual's preconditions are equivalent to v's (already claimed above),
     # so the inner run checks only the construction.
-    dual_report, *_ = _direct_route(w, local_full, local_b, local_base, lower=True, tol=tol)
+    dual_report, *_ = _direct_route(w, local_full, local_b, local_order, lower=True, tol=tol)
     report.dual = dual_report
 
     dual_mu = dual_report.witness
     assert dual_mu is not None
-    weights_match = all(
-        scalar_eq(mu.weight(p), dual_mu.weight(i), tol) for i, p in enumerate(pts)
-    )
-    chains_match = tuple(dual_report.context["chain"]) == tuple(
-        sorted((local_full ^ _local_mask(s, pts) for s in chain.sets),
-               key=lambda m: m.bit_count())
-    )
-    direct_viol = {local_full ^ _local_mask(m, pts) for m in check.violations}
+    weights_match = all(scalar_eq(x, y, tol) for x, y in zip(mu.weights, dual_mu.weights))
+    chains_match = dual_report.context["chain"] == [
+        local_full ^ local[s] for s in reversed(chain.sets)
+    ]
+    direct_viol = {local_full ^ local[m] for m in check.violations}
     dual_viol = set(dual_report.context["core_violations"])
     direct_attained = scalar_eq(mu(b), v.table[b], tol)
     dual_attained = scalar_eq(dual_mu(local_b), w.table[local_b], tol)

@@ -45,13 +45,13 @@ def iter_submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
-def _global_mask(local: int, pts: Sequence[int]) -> int:
-    """Map a mask over the indices of ``pts`` back to the points themselves."""
-    out = 0
-    for i, p in enumerate(pts):
-        if local >> i & 1:
-            out |= 1 << p
-    return out
+def subset_masks(points: Sequence[int]) -> list[int]:
+    """Every subset of ``points`` at the index of its local mask (bit j picks ``points[j]``)."""
+    masks = [0]
+    for p in points:
+        bit = 1 << p
+        masks += [m | bit for m in masks]
+    return masks
 
 
 @dataclass(frozen=True)
@@ -327,7 +327,7 @@ class SetFunction:
         if self.ground.labels is not None:
             labels = tuple(self.ground.labels[p] for p in pts)
         sub_ground = GroundSet(len(pts), labels)
-        table = tuple(self.table[_global_mask(local, pts)] for local in sub_ground.subsets())
+        table = tuple(self.table[m] for m in subset_masks(pts))
         return SetFunction(sub_ground, table), pts
 
 

@@ -2,17 +2,22 @@ from itertools import permutations
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaincore import (
     Chain,
     ChainIntervalUnion,
     GroundSet,
+    SetFunction,
+    chain_from_order,
     chain_generates,
     generated_algebra,
     insert_chain,
     interval_union_normalize,
     iter_submasks,
     maximal_chain,
+    verify_uniqueness,
 )
 
 
@@ -93,6 +98,51 @@ def test_insertion_lemma_small_exhaustive():
                 assert out.carrier == a
                 assert out.is_maximal
                 assert chain_generates(out)
+
+
+def _insert_by_union(base: Chain, a: int, b: int) -> tuple[int, ...]:
+    """The insertion as a set: ``b & r`` and ``b | r`` over the restriction
+    of the base to ``a``, deduplicated and sorted by inclusion."""
+    restricted = base.restrict(a)
+    merged = {b & r for r in restricted} | {b | r for r in restricted}
+    return tuple(sorted(merged, key=lambda m: (m.bit_count(), m)))
+
+
+@st.composite
+def base_chains(draw) -> tuple[tuple[int, ...], Chain]:
+    """A permutation of 1 to 5 points and its chain, coarsened by dropping
+    a random selection of the intermediate members."""
+    n = draw(st.integers(1, 5))
+    order = tuple(draw(st.permutations(range(n))))
+    full = chain_from_order(order)
+    keep = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    inner = tuple(s for s, k in zip(full.sets[1:-1], keep) if k)
+    return order, Chain(full.carrier, (0, *inner, full.carrier))
+
+
+@settings(max_examples=80, deadline=None)
+@given(drawn=base_chains(), data=st.data())
+def test_insertion_lemma_property(drawn, data):
+    order, base = drawn
+    n = len(order)
+    maximal = chain_from_order(order)
+    v = SetFunction.from_callable(GroundSet(n), lambda m: m.bit_count())
+    a = data.draw(st.integers(0, base.carrier))
+    restricted = base.restrict(a)
+    for b in iter_submasks(a):
+        out = insert_chain(base, a, b)
+        assert out.sets == _insert_by_union(base, a, b)
+        assert out.carrier == a
+        assert 0 in out and b in out and a in out
+        # b splits each step of the restriction into the points inside and
+        # outside it, so the result is maximal when the restriction is, and
+        # otherwise exactly when both parts of every step are single points
+        splits = all((gap & b).bit_count() <= 1 and (gap & ~b).bit_count() <= 1
+                     for _, _, gap in restricted.steps())
+        assert out.is_maximal == splits
+        assert chain_generates(out, method="closure") == out.is_maximal
+        assert verify_uniqueness(v, a, b, base=order) == chain_generates(
+            insert_chain(maximal, a, b), method="closure")
 
 
 def test_chain_generates_examples():

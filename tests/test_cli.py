@@ -255,3 +255,11 @@ def test_choquet_samples_must_be_positive(instance, capsys, bad):
     assert code == 2
     assert out == ""
     assert "samples" in err
+
+
+@pytest.mark.parametrize("bad", ["0", "-1"])
+def test_embed_recover_index_must_be_a_member(instance, capsys, bad):
+    code, out, err = run(capsys, "embed", instance(FAMILY), "--recover", bad)
+    assert code == 2
+    assert out == ""
+    assert "member index" in err

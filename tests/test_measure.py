@@ -225,6 +225,15 @@ def test_uniqueness_perturbation_breaks_chain_agreement(v3):
         assert any(bumped(s) != v3.table[s] for s in chain.sets)
 
 
+def test_uniqueness_fails_when_the_inserted_chain_does_not_generate(v3, monkeypatch):
+    import chaincore.measure
+
+    # a coarse chain leaves the atoms of its two-point steps unpinned
+    monkeypatch.setattr(chaincore.measure, "insert_chain", lambda base, a, b: Chain(a, (0, a)))
+    assert not verify_uniqueness(v3, 0b111, 0b010)
+    assert verify_uniqueness(v3, 0b001, 0b001)
+
+
 def test_weights_from_chain_values_rejects_gaps(v3):
     chain = maximal_chain(v3.ground, (0, 1, 2))
     values = {s: v3.table[s] for s in chain.sets}
@@ -267,6 +276,25 @@ def test_verify_inf_dual_route_agrees_on_random_supermodular():
         assert report.passed
         consistency = [c for c in report.claims if c.category == "consistency"]
         assert consistency and all(c.passed for c in consistency)
+
+
+def test_dual_route_consistency_under_every_base():
+    """Every pair on n <= 4 supermodular instances passes all five
+    consistency claims under every permutation base, and the same base
+    given as an explicit subset list gives the same report."""
+    for n in range(1, 5):
+        v = random_supermodular(n, 500 + n)
+        for order in permutations(range(n)):
+            explicit = Chain(v.ground.full, maximal_chain(v.ground, order).sets)
+            for a in v.ground.subsets():
+                for b in iter_submasks(a):
+                    report = verify_inf_representation(v, a, b, base=order)
+                    consistency = [c for c in report.claims if c.category == "consistency"]
+                    assert len(consistency) == (5 if a else 1)
+                    assert all(c.passed for c in consistency)
+                    assert report.passed
+                    same = verify_inf_representation(v, a, b, base=explicit)
+                    assert same.to_json_dict() == report.to_json_dict()
 
 
 def test_verify_inf_empty_carrier(convex2):

@@ -2,9 +2,28 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chaincore import GroundSet, SetFunction, dual_transform, members, random_submodular
+from chaincore import (
+    GroundSet,
+    SetFunction,
+    dual_transform,
+    iter_submasks,
+    members,
+    random_submodular,
+)
+from chaincore.setfun import subset_masks
 from conftest import additive_capacity, convex_game_2, quadratic_capacity
+
+
+@st.composite
+def set_functions(draw, max_points: int = 5) -> SetFunction:
+    """Arbitrary exact tables on 1 to ``max_points`` points."""
+    n = draw(st.integers(1, max_points))
+    values = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    table = draw(st.lists(values, min_size=1 << n, max_size=1 << n))
+    return SetFunction(GroundSet(n), tuple(table))
 
 
 def test_ground_set_bounds():
@@ -129,6 +148,12 @@ def test_dual_is_involution():
         assert dual_transform(dual_transform(v)).table == v.table
 
 
+@settings(max_examples=60, deadline=None)
+@given(v=set_functions())
+def test_dual_involution_property(v):
+    assert dual_transform(dual_transform(v)).table == v.table
+
+
 def test_dual_of_additive_is_itself():
     v = additive_capacity([Fraction(2, 7), Fraction(4, 7), Fraction(1, 7)])
     assert dual_transform(v).table == v.table
@@ -160,6 +185,34 @@ def test_restrict():
     assert sub.table == (v.table[0], v.table[0b001], v.table[0b100], v.table[0b101])
     with pytest.raises(ValueError):
         v.restrict(0)
+
+
+@given(pts=st.lists(st.integers(0, 11), unique=True, max_size=6))
+def test_subset_masks_maps_local_to_global(pts):
+    masks = subset_masks(pts)
+    assert len(masks) == 1 << len(pts)
+    for i, mask in enumerate(masks):
+        expected = 0
+        for j, p in enumerate(pts):
+            if i >> j & 1:
+                expected |= 1 << p
+        assert mask == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(v=set_functions(), data=st.data())
+def test_restrict_round_trips(v, data):
+    carrier = data.draw(st.integers(1, v.ground.full))
+    sub, pts = v.restrict(carrier)
+    assert pts == members(carrier)
+    # every subset of the carrier is read back at its local mask
+    local = {m: i for i, m in enumerate(subset_masks(pts))}
+    assert sorted(local) == sorted(iter_submasks(carrier))
+    assert all(sub.table[local[m]] == v.table[m] for m in local)
+    # restricting the restriction to its whole ground set changes nothing
+    again, identity = sub.restrict(sub.ground.full)
+    assert again.table == sub.table and identity == tuple(range(sub.ground.n))
+    assert v.restrict(v.ground.full)[0].table == v.table
 
 
 def test_json_roundtrip(v3):
