@@ -23,11 +23,10 @@ from .measure import (
     Claim,
     VerificationReport,
     _precondition_claims,
-    _tolerance,
     chain_measure,
     sample_core,
 )
-from .scalar import Scalar, is_finite, parse_scalar, format_scalar, scalar_eq, scalar_le
+from .scalar import Scalar, is_finite, parse_scalar, format_scalar, scalar_eq, scalar_le, tolerance
 from .setfun import GroundSet, SetFunction
 
 
@@ -157,7 +156,7 @@ def verify_choquet_sup(
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    tol = _tolerance(v.exact and not any(isinstance(x, float) for x in f.values), eps)
+    tol = tolerance(v.exact and not any(isinstance(x, float) for x in f.values), eps)
     levels = level_set_chain(f)
     completed = levels.refined()
     mu = chain_measure(v, completed)

@@ -16,7 +16,7 @@ from .chains import Chain, chain_generates
 from .choquet import PointFunction, verify_choquet_sup
 from .embed import GeneratingFamily, embed_chain, recover_generator, ternary_digit, ternary_embed
 from .generators import GeneratorError, set_function_from_spec
-from .measure import VerificationReport, verify_inf_representation, verify_sup_representation, verify_uniqueness
+from .measure import VerificationReport, verify_inf_representation, verify_sup_representation
 from .scalar import ScalarModeError, format_scalar, parse_scalar
 from .setfun import GroundSet, SetFunction, dual_transform, iter_submasks
 
@@ -118,6 +118,11 @@ def _route(v: SetFunction):
     return verify_sup_representation
 
 
+def _unique(report: VerificationReport) -> bool:
+    """:func:`verify_uniqueness`, read off the inserted chain the report holds."""
+    return chain_generates(Chain(report.context["A"], tuple(report.context["chain"])))
+
+
 def _cmd_core(args: argparse.Namespace) -> int:
     v = load_instance(args.instance, exact=not args.float)
     a = v.ground.parse_subset(args.A) if args.A is not None else v.ground.full
@@ -127,7 +132,7 @@ def _cmd_core(args: argparse.Namespace) -> int:
     base = _parse_base_chain(args.chain, v)
     report = _route(v)(v, a, b, base=base)
     payload = _report_payload(report, v.ground)
-    payload["unique"] = verify_uniqueness(v, a, b, base=base)
+    payload["unique"] = _unique(report)
     _emit(payload, args.pretty)
     return EXIT_OK if report.passed and payload["unique"] else EXIT_CLAIM_FAILED
 
@@ -207,9 +212,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for a in v.ground.subsets():
             for b in iter_submasks(a):
                 pairs += 1
-                if not verify(v, a, b).passed:
+                report = verify(v, a, b)
+                if not report.passed:
                     failures += 1
-                unique = unique and verify_uniqueness(v, a, b)
+                unique = unique and _unique(report)
         ok = failures == 0 and unique
         all_ok = all_ok and ok
         summaries.append(

@@ -20,7 +20,7 @@ from typing import Sequence
 from .chains import Chain, chain_from_order
 from .measure import AtomicMeasure, chain_measure
 from .scalar import Scalar, parse_scalar, scalar_eq, scalar_ge
-from .setfun import GroundSet, SetFunction, members
+from .setfun import GroundSet, SetFunction, members, subset_sums, subset_unions
 
 
 class GeneratorError(ValueError):
@@ -40,7 +40,7 @@ class PolynomialDistortion:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
-        _check_distortion(self, [Fraction(k, self.GRID) for k in range(self.GRID + 1)])
+        _check_distortion(self)
 
     def __call__(self, x: Scalar) -> Scalar:
         total: Scalar = 0
@@ -68,7 +68,7 @@ class PiecewiseLinearDistortion:
             raise GeneratorError("knots must run from x=0 to x=1")
         if any(b[0] <= a[0] for a, b in zip(knots, knots[1:])):
             raise GeneratorError("knot x-coordinates must strictly increase")
-        _check_distortion(self, [x for x, _ in knots])
+        _check_distortion(self)
 
     def __call__(self, x: Scalar) -> Scalar:
         knots = self.knots
@@ -83,10 +83,10 @@ class PiecewiseLinearDistortion:
         return [x for x, _ in self.knots]
 
 
-def _check_distortion(g, grid: Sequence[Fraction]) -> None:
+def _check_distortion(g) -> None:
     if g(Fraction(0)) != 0 or g(Fraction(1)) != 1:
         raise GeneratorError("distortion must satisfy g(0)=0 and g(1)=1")
-    values = [g(x) for x in grid]
+    values = [g(x) for x in g.grid()]
     if any(b < a for a, b in zip(values, values[1:])):
         raise GeneratorError("distortion must be non-decreasing on its grid")
 
@@ -128,6 +128,7 @@ def distortion_capacity(
 
     Concave g yields a submodular capacity and convex g a supermodular one;
     callers assert that through the predicates rather than trusting it.
+    g is called once per distinct value of p(S).
     """
     weights = list(p)
     if any(not scalar_ge(w, 0) for w in weights):
@@ -136,16 +137,13 @@ def distortion_capacity(
     if not scalar_eq(total, 1):
         raise GeneratorError(f"probability weights must sum to 1, got {total}")
     ground = GroundSet(len(weights), tuple(labels) if labels else None)
-
-    def value(mask: int) -> Scalar:
-        return g(sum((weights[i] for i in members(mask)), 0))
-
-    table = tuple(value(m) for m in ground.subsets())
+    sums = subset_sums(weights)
+    g_of = {x: g(x) for x in set(sums)}
     if any(isinstance(w, float) for w in weights):
         # g keeps exact coefficients, so empty-sum evaluations come back
         # rational; float-mode weights make the whole table float.
-        table = tuple(float(x) for x in table)
-    return SetFunction(ground, table)
+        g_of = {x: float(y) for x, y in g_of.items()}
+    return SetFunction(ground, tuple(map(g_of.__getitem__, sums)))
 
 
 def coverage_capacity(
@@ -156,7 +154,8 @@ def coverage_capacity(
     """v(S) = total weight of the items covered by the points of S.
 
     ``covers[i]`` is a bitmask over the item space; item weights must be
-    nonnegative.  Always grounded, monotone and submodular.
+    nonnegative.  Always grounded, monotone and submodular.  The weight of
+    the covered items is summed once per distinct covered mask.
     """
     if any(not scalar_ge(w, 0) for w in item_weights):
         raise GeneratorError("item weights must be nonnegative")
@@ -164,14 +163,9 @@ def coverage_capacity(
     if any(not 0 <= c < limit for c in covers):
         raise GeneratorError("cover bitmask outside the item space")
     ground = GroundSet(len(covers), tuple(labels) if labels else None)
-
-    def value(mask: int) -> Scalar:
-        covered = 0
-        for i in members(mask):
-            covered |= covers[i]
-        return sum((item_weights[k] for k in members(covered)), 0)
-
-    return SetFunction(ground, tuple(value(m) for m in ground.subsets()))
+    covered = subset_unions(covers)
+    weight_of = {c: sum((item_weights[k] for k in members(c)), 0) for c in set(covered)}
+    return SetFunction(ground, tuple(map(weight_of.__getitem__, covered)))
 
 
 def shapley_example(
@@ -203,12 +197,14 @@ def shapley_example(
 
 def interval_discretization(cells: int, g) -> tuple[SetFunction, Chain]:
     """Grid capacity on [0, 1): cells of equal length, v(S) = g(length of S),
-    plus the left-to-right prefix chain (the discrete sublevel family)."""
+    plus the left-to-right prefix chain (the discrete sublevel family).
+    g is called once per cell count."""
     if not 1 <= cells <= 24:
         raise GeneratorError("cells must be in 1..24")
     labels = tuple(f"{k}/{cells}" for k in range(cells))
     ground = GroundSet(cells, labels)
-    table = tuple(g(Fraction(m.bit_count(), cells)) for m in ground.subsets())
+    by_count = [g(Fraction(k, cells)) for k in range(cells + 1)]
+    table = tuple(by_count[m.bit_count()] for m in ground.subsets())
     chain = chain_from_order(range(cells), ground.full)
     return SetFunction(ground, table), chain
 

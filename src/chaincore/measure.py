@@ -20,8 +20,8 @@ from random import Random
 from typing import Mapping, Sequence
 
 from .chains import Chain, chain_from_order, chain_generates, insert_chain, maximal_chain
-from .scalar import Scalar, format_scalar, resolve_eps, scalar_eq, scalar_ge
-from .setfun import SetFunction, dual_transform, members, subset_masks
+from .scalar import Scalar, format_scalar, scalar_eq, scalar_ge, tolerance
+from .setfun import SetFunction, dual_transform, iter_submasks, members, subset_masks, subset_sums
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ class AtomicMeasure:
 
     def table(self) -> dict[int, Scalar]:
         """Values on all 2**|carrier| subsets, built by one add per subset."""
-        return _subset_sums(self.points, self.weights)
+        return dict(zip(subset_masks(self.points), subset_sums(self.weights)))
 
     def perturbed(self, point: int, delta: Scalar) -> "AtomicMeasure":
         idx = self.points.index(point)
@@ -93,19 +93,6 @@ class AtomicMeasure:
             "carrier": self.carrier,
             "weights": {str(p): format_scalar(w) for p, w in zip(self.points, self.weights)},
         }
-
-
-def _subset_sums(points: Sequence[int], weights: Sequence[Scalar]) -> dict[int, Scalar]:
-    """Additive values on every subset of ``points``, one add per subset.
-
-    Subsets come in the order of their local masks (the bits of the
-    positions in ``points``), and each sum adds the weights in ascending
-    point order, so float sums round the same way wherever they are built.
-    """
-    sums: list[Scalar] = [0]
-    for w in weights:
-        sums += [x + w for x in sums]
-    return dict(zip(subset_masks(points), sums))
 
 
 def _telescope(
@@ -200,7 +187,7 @@ def core_check(
     Lower core: mu(A) = v(A), mu(E) <= v(E) for every E inside A, and all
     weights nonnegative.  Upper core mirrors the inequality.
     """
-    tol = _tolerance(mu.exact and v.exact, eps)
+    tol = tolerance(mu.exact and v.exact, eps)
     return _scan_core(mu.table(), mu.points, mu.weights, v.table, mu.carrier, lower, tol)
 
 
@@ -287,12 +274,6 @@ class VerificationReport:
         return out
 
 
-def _tolerance(exact: bool, eps: float | None) -> Scalar:
-    """The one tolerance a check uses throughout: 0 in exact mode, which
-    never reads it, else the resolved float (read once per call)."""
-    return 0 if exact else resolve_eps(eps)
-
-
 def _resolve_base(v: SetFunction, base: Chain | Sequence[int] | None) -> tuple[Chain, tuple]:
     """The maximal base chain on v's ground set and its point order; the default is memoised."""
     if base is None:
@@ -342,7 +323,7 @@ def _direct_route(
     unscale = (lambda x: Fraction(x, scale)) if v.exact else (lambda x: x)
     points = members(a)
     weights = _telescope(values, chain)
-    tbl = _subset_sums(points, weights)
+    tbl = dict(zip(subset_masks(points), subset_sums(weights)))
     check = _scan_core(tbl, points, weights, values, a, lower, tol)
     mu = AtomicMeasure(a, points, tuple(map(unscale, weights)))
     vt = v.table
@@ -409,7 +390,7 @@ def verify_sup_representation(
     Precondition failures are reported, never raised, so the same routine
     doubles as the counterexample probe for non-submodular input.
     """
-    tol = _tolerance(v.exact, eps)
+    tol = tolerance(v.exact, eps)
     report, *_ = _direct_route(v, a, b, base, lower=True, tol=tol)
     report.claims[:0] = _precondition_claims(v, submodular=True, tol=tol)
     return report
@@ -459,7 +440,7 @@ def verify_inf_representation(
     for claim under the complement correspondence; the agreement is itself
     recorded as consistency claims.
     """
-    tol = _tolerance(v.exact, eps)
+    tol = tolerance(v.exact, eps)
     report, base_order, chain, check = _direct_route(v, a, b, base, lower=False, tol=tol)
     report.claims[:0] = _precondition_claims(v, submodular=False, tol=tol)
     mu = report.witness
@@ -540,14 +521,9 @@ def find_sup_counterexample(
     formula forces the submodular inequality), so for non-submodular
     monotone grounded input this always finds a witness pair.
     """
-    tol = _tolerance(v.exact, eps)
+    tol = tolerance(v.exact, eps)
     for a in v.ground.subsets():
-        sub = a
-        while True:
-            report = verify_sup_representation(v, a, sub, base=base, eps=tol)
-            if not report.construction_passed:
+        for sub in iter_submasks(a):
+            if not verify_sup_representation(v, a, sub, base=base, eps=tol).construction_passed:
                 return a, sub
-            if sub == 0:
-                break
-            sub = (sub - 1) & a
     return None

@@ -46,6 +46,12 @@ def resolve_eps(eps: float | None = None) -> float:
     return value
 
 
+def tolerance(exact: bool, eps: float | None = None) -> Scalar:
+    """The one tolerance a check uses throughout: 0 in exact mode, which
+    never reads it, else the resolved float (read once per call)."""
+    return 0 if exact else resolve_eps(eps)
+
+
 def is_finite(x: Scalar) -> bool:
     return not isinstance(x, float) or math.isfinite(x)
 

@@ -22,8 +22,8 @@ from .scalar import (
     is_finite,
     parse_scalar,
     format_scalar,
-    resolve_eps,
     scalar_eq,
+    tolerance,
 )
 
 #: Hard cap on ground-set size; dense tables are 2**n entries.
@@ -45,13 +45,28 @@ def iter_submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
+def subset_unions(masks: Sequence[int]) -> list[int]:
+    """The union of every subset of ``masks`` at the index of its local mask
+    (bit j picks ``masks[j]``), built by doubling: one ``|`` per subset."""
+    unions = [0]
+    for m in masks:
+        unions += [u | m for u in unions]
+    return unions
+
+
 def subset_masks(points: Sequence[int]) -> list[int]:
     """Every subset of ``points`` at the index of its local mask (bit j picks ``points[j]``)."""
-    masks = [0]
-    for p in points:
-        bit = 1 << p
-        masks += [m | bit for m in masks]
-    return masks
+    return subset_unions([1 << p for p in points])
+
+
+def subset_sums(weights: Sequence[Scalar]) -> list[Scalar]:
+    """The sum of every subset of ``weights`` at the index of its local mask,
+    one ``+`` per subset, adding from 0 in ascending position order (so
+    float sums round the same way wherever they are built)."""
+    sums: list[Scalar] = [0]
+    for w in weights:
+        sums += [x + w for x in sums]
+    return sums
 
 
 @dataclass(frozen=True)
@@ -243,7 +258,7 @@ class SetFunction:
         in exact mode (which never reads the tolerance) and the resolved eps
         in float mode, and keyed by that tolerance (so a changed
         CHAINCORE_EPS is recomputed, never answered from the memo)."""
-        tol = 0 if self.exact else resolve_eps(eps)
+        tol = tolerance(self.exact, eps)
         return self._cached((key, tol), lambda: compute(tol))
 
     def is_grounded(self, eps: float | None = None) -> bool:

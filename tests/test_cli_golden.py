@@ -3,7 +3,8 @@
 Each case pins the exit code and the sha256 of stdout for one command,
 in exact and in float mode.  The digests were recorded before the sup and
 inf checks were merged into one direct route, and that merge left every
-byte unchanged.  A changed digest is a change to the output format and
+byte unchanged; the digests of the generator-spec cases were recorded
+before the generators built their tables by doubling.  A changed digest is a change to the output format and
 must be made on purpose; ``PYTHONPATH=src python tests/test_cli_golden.py``
 prints the current digests.
 """
@@ -34,6 +35,20 @@ COARSE_FAMILY = {"n": 3, "members": [[0, 1]]}
 # monotone and grounded, neither submodular nor supermodular
 MIXED = {"n": 3, "values": {"0": 0, "1": "1/2", "2": "1/2", "3": "1/2",
                             "4": "1/2", "5": "1/2", "6": "1/2", "7": 1}}
+# generator specs: concave poly with a zero weight (sup route), convex pwl
+# (inf route), coverage, and an interval grid
+SPECS = {
+    "spec-poly.json": {"generator": "distortion",
+                       "g": {"kind": "poly", "coeffs": [0, "3/2", "-1/2"]},
+                       "p": ["1/4", "0", "1/8", "1/8", "1/3", "1/6"]},
+    "spec-pwl.json": {"generator": "distortion",
+                      "g": {"kind": "pwl", "knots": [[0, 0], ["1/2", "1/5"], [1, 1]]},
+                      "p": ["1/10", "1/5", "3/10", "2/5", "0"]},
+    "spec-coverage.json": {"generator": "coverage", "covers": [3, 6, 12, 9, 5, 0],
+                           "weights": ["1/2", 1, "3/4", "0.3"]},
+    "spec-interval.json": {"generator": "interval", "cells": 6,
+                           "g": {"kind": "poly", "coeffs": [0, 2, -1]}},
+}
 
 
 def _write_inputs(root: Path) -> None:
@@ -44,6 +59,7 @@ def _write_inputs(root: Path) -> None:
         "mixed.json": MIXED,
         "family.json": FAMILY,
         "coarse.json": COARSE_FAMILY,
+        **SPECS,
     }
     for name, obj in files.items():
         (root / name).write_text(json.dumps(obj))
@@ -72,6 +88,14 @@ COMMANDS = (
     ("choquet-ties-risk", ["choquet", "super.json", "--f", "1,0,1", "--risk", "--samples", "5"]),
     ("embed", ["embed", "family.json"]),
     ("embed-coarse", ["embed", "coarse.json", "--recover", "1"]),
+    ("check-spec-poly", ["check", "spec-poly.json"]),
+    ("core-spec-poly", ["core", "spec-poly.json", "--A", "61", "--B", "20"]),
+    ("check-spec-pwl", ["check", "spec-pwl.json"]),
+    ("core-spec-pwl", ["core", "spec-pwl.json", "--B", "5"]),
+    ("check-spec-coverage", ["check", "spec-coverage.json"]),
+    ("core-spec-coverage", ["core", "spec-coverage.json", "--B", "10", "--chain", "5,4,3,2,1,0"]),
+    ("check-spec-interval", ["check", "spec-interval.json"]),
+    ("core-spec-interval", ["core", "spec-interval.json", "--A", "47", "--B", "33"]),
 )
 
 MODES = (("exact", []), ("float", ["--float"]))
@@ -90,6 +114,14 @@ EXPECTED = {
     'choquet-ties-risk/exact': (1, '13fcd7a291dceb06049b9f7223ba9efcda62a597722e072a07e0d99dc2c8425e'),
     'embed/exact': (0, '83c94e7a3e1b951872a48486731181a6b6dea85abdddd95c419cae3527321aeb'),
     'embed-coarse/exact': (0, '440342eea0a7209a516cd15b0134890ecd42ceacb18dd438916a3cb123a0f59c'),
+    'check-spec-poly/exact': (0, 'd1eb6a9c1664f57b7d62015c99f08577d7e41712d91f9c1b4bacbfc32aae9ddb'),
+    'core-spec-poly/exact': (0, 'cba264479a34326f179c06e7f57cb80c2fabc1b33cceffeb685ae50b2812cfad'),
+    'check-spec-pwl/exact': (0, 'd7b7dd3fb858faf49efb9ac963d0aa6f2e469829aa17e6d473e7afba3698f33d'),
+    'core-spec-pwl/exact': (0, 'd18d6129580c99f11906c5c8c8c7280d1969d1bfe0ad838f77eaf928f98b1f63'),
+    'check-spec-coverage/exact': (0, 'b2fc51266cd84ad46c9b824032cba09c1f753f1bb765b58ee0fe14e2e97ea56a'),
+    'core-spec-coverage/exact': (0, '116001a2b394e7ba64df5c34da8f35955d19cde99e81126fe17fe2081326ae0d'),
+    'check-spec-interval/exact': (0, '286bb1c7ada0decf91c3dbf6e8ed06b172d45e1c1c2f7c1dab99af7343433b2d'),
+    'core-spec-interval/exact': (0, '3b8ca6069c9e2ac3936ff57a73b896dbf5ba5c45ca2ab626604f71b2578211e5'),
     'core-sup/float': (0, '08385e5547a807a681d9928241f4e75e78c7f51ac931af1ac838af16819139dd'),
     'core-sup-chain/float': (0, '5dab9ce0cc19d56f211afac2ff1fca0568c309386d74dac34f210dd0bc688e4b'),
     'core-inf/float': (0, 'ee30cf14635771c9d2f6f1afa92eb6133de0d3144cd71252d5f4d1a13b716bb8'),
@@ -100,6 +132,14 @@ EXPECTED = {
     'choquet/float': (0, 'e06ecd71dffa9a68a696c72d0186006bc8790898a98616fd449fa926d4dc1996'),
     'choquet-ties/float': (0, 'e3286a47a331b5c2d5bde1718e76a14715668a3218fe69f39dcc7886d6b7ccc8'),
     'choquet-ties-risk/float': (1, 'c85a5859cf2a4e9eb465819e013acccec9c35e1c6e0faf9e1173bd1bee532016'),
+    'check-spec-poly/float': (0, '1e1ca64c84c52aadf7f14ee261e6c602aa13a37eee532fe2acfd3288d76c25af'),
+    'core-spec-poly/float': (0, '9036300fc745286f9bc7720c709fd0a20976821e9a6b652111cc8b62ab35cce9'),
+    'check-spec-pwl/float': (0, '5db9e2649ac64dae1ed947fb2bef4c3a6d346c0cacb78704f273ad6e5b053adb'),
+    'core-spec-pwl/float': (0, '6f35ea89c632f89150a2ca815f0085d7176ff2dd76794f3a48c730c367777a55'),
+    'check-spec-coverage/float': (0, '5d362b5964fdf0c2d688d064997ab8b104e8095cd275303533d0e4c92c131f1e'),
+    'core-spec-coverage/float': (0, 'c4aa6766a7930d6f0ab6daf7b1c4bd0d7eb648460635265607144f7baa948066'),
+    'check-spec-interval/float': (0, '4e1d968b9706a3a140fec3722afb6e3bea06a6c4995cff8f9e119b1680b91cc2'),
+    'core-spec-interval/float': (0, 'cc6c24adbf3492c8f19e5bbf738d343d7fcede5bcb616355531a5e27ac43729e'),
 }
 
 

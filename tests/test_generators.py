@@ -5,6 +5,7 @@ import pytest
 
 from chaincore import (
     GeneratorError,
+    members,
     PiecewiseLinearDistortion,
     PolynomialDistortion,
     chain_measure,
@@ -19,7 +20,11 @@ from chaincore import (
     random_submodular,
     shapley_example,
 )
-from chaincore.generators import distortion_from_spec, set_function_from_spec
+from chaincore.generators import (
+    _random_concave_distortion,
+    distortion_from_spec,
+    set_function_from_spec,
+)
 from conftest import quadratic_capacity
 
 
@@ -81,6 +86,117 @@ def test_coverage_capacity_structure():
     assert v.table[0b001] == 3  # covers items 0,1
     assert v.table[0b111] == 6
     assert v.is_monotone() and v.is_submodular()
+
+
+# -- the tables against their per-subset definitions --------------------------
+
+
+def _typed(table):
+    """Each entry's type and value, a float by its exact bits."""
+    return [(type(x), x.hex() if isinstance(x, float) else x) for x in table]
+
+
+def _distortion_reference(g, p):
+    """v(S) = g(p(S)) evaluated subset by subset, p(S) summed in ascending order."""
+    table = [g(sum((p[i] for i in members(m)), 0)) for m in range(1 << len(p))]
+    if any(isinstance(w, float) for w in p):
+        table = [float(x) for x in table]
+    return table
+
+
+def _coverage_reference(covers, weights):
+    table = []
+    for m in range(1 << len(covers)):
+        covered = 0
+        for i in members(m):
+            covered |= covers[i]
+        table.append(sum((weights[k] for k in members(covered)), 0))
+    return table
+
+
+def _random_weights(rng, n, exact):
+    """Probability weights with some zeros; float mode reads the same
+    fractions as floats, as the CLI does."""
+    raw = [rng.choice((0, 0, rng.randint(1, 9))) for _ in range(n)]
+    raw[rng.randrange(n)] = rng.randint(1, 9)
+    total = sum(raw)
+    p = [Fraction(r, total) for r in raw]
+    return p if exact else [float(w) for w in p]
+
+
+DISTORTIONS = (
+    QUAD,
+    PolynomialDistortion((Fraction(0), Fraction(0), Fraction(1))),
+    PolynomialDistortion((Fraction(0), Fraction(1, 2), Fraction(-1, 4), Fraction(3, 4))),
+)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_distortion_table_matches_its_definition(exact):
+    rng = Random(5)
+    for trial in range(40):
+        n = rng.randint(1, 9)
+        g = DISTORTIONS[trial % 3] if trial % 2 else _random_concave_distortion(rng)
+        p = _random_weights(rng, n, exact)
+        v = distortion_capacity(g, p)
+        assert _typed(v.table) == _typed(_distortion_reference(g, p))
+    # float sums that differ in their last bits stay distinct arguments
+    p = [0.1, 0.2, 0.3, 0.4]
+    assert _typed(distortion_capacity(QUAD, p).table) == _typed(_distortion_reference(QUAD, p))
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_coverage_table_matches_its_definition(exact):
+    rng = Random(6)
+    for _ in range(40):
+        n = rng.randint(1, 9)
+        items = rng.randint(1, 6)
+        covers = [rng.randrange(0, 1 << items) for _ in range(n)]
+        weights = [Fraction(rng.randint(0, 9), rng.randint(1, 4)) for _ in range(items)]
+        if not exact:
+            weights = [float(w) for w in weights]
+        v = coverage_capacity(covers, weights)
+        assert _typed(v.table) == _typed(_coverage_reference(covers, weights))
+
+
+@pytest.mark.parametrize("g", DISTORTIONS + (PiecewiseLinearDistortion(
+    ((Fraction(0), Fraction(0)), (Fraction(1, 3), Fraction(1, 2)), (Fraction(1), Fraction(1)))
+),))
+def test_interval_table_matches_its_definition(g):
+    for cells in range(1, 9):
+        v, _ = interval_discretization(cells, g)
+        expected = [g(Fraction(m.bit_count(), cells)) for m in range(1 << cells)]
+        assert _typed(v.table) == _typed(expected)
+
+
+class _Counting:
+    """A distortion that counts its calls."""
+
+    def __init__(self, g):
+        self.g, self.calls = g, 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.g(x)
+
+
+def test_interval_calls_g_once_per_cell_count():
+    g = _Counting(QUAD)
+    interval_discretization(10, g)
+    assert g.calls <= 11
+
+
+def test_distortion_calls_g_once_per_distinct_weight():
+    g = _Counting(QUAD)
+    v = distortion_capacity(g, [Fraction(1, 8)] * 8)
+    assert g.calls <= 9  # p(S) = |S| / 8
+    assert list(v.table) == _distortion_reference(QUAD, [Fraction(1, 8)] * 8)
+    for exact in (True, False):
+        p = _random_weights(Random(3), 9, exact)
+        distinct = {sum((p[i] for i in members(m)), 0) for m in range(1 << 9)}
+        g = _Counting(QUAD)
+        distortion_capacity(g, p)
+        assert g.calls <= len(distinct) < 1 << 9
 
 
 def test_shapley_example_two_blocks(v3):
@@ -146,7 +262,7 @@ def test_interval_insertion_reproduces_two_sided_class():
 
 
 def test_concave_pwl_distortions_are_submodular():
-    from chaincore.generators import _random_concave_distortion, _random_probability
+    from chaincore.generators import _random_probability
 
     rng = Random(14)
     for _ in range(40):

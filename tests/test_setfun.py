@@ -13,7 +13,7 @@ from chaincore import (
     members,
     random_submodular,
 )
-from chaincore.setfun import subset_masks
+from chaincore.setfun import subset_masks, subset_sums, subset_unions
 from conftest import additive_capacity, convex_game_2, quadratic_capacity
 
 
@@ -197,6 +197,37 @@ def test_subset_masks_maps_local_to_global(pts):
             if i >> j & 1:
                 expected |= 1 << p
         assert mask == expected
+
+
+def _bits(x):
+    """A float by its exact bits, any other scalar as it is."""
+    return x.hex() if isinstance(x, float) else x
+
+
+@given(weights=st.one_of(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=7),
+    st.lists(st.floats(0, 1), max_size=7),
+    st.lists(st.fractions(max_denominator=30), max_size=7),
+    st.lists(st.integers(-50, 50), max_size=7),
+))
+def test_subset_sums_add_each_subset_in_ascending_order(weights):
+    sums = subset_sums(weights)
+    assert len(sums) == 1 << len(weights)
+    for mask, x in enumerate(sums):
+        expected = sum((weights[i] for i in members(mask)), 0)
+        assert type(x) is type(expected)
+        assert _bits(x) == _bits(expected)
+
+
+@given(masks=st.lists(st.integers(0, 255), max_size=7))
+def test_subset_unions_or_each_subset(masks):
+    unions = subset_unions(masks)
+    assert len(unions) == 1 << len(masks)
+    for mask, u in enumerate(unions):
+        expected = 0
+        for i in members(mask):
+            expected |= masks[i]
+        assert u == expected
 
 
 @settings(max_examples=60, deadline=None)
