@@ -16,8 +16,14 @@ from .chains import Chain, chain_generates
 from .choquet import PointFunction, verify_choquet_sup
 from .embed import GeneratingFamily, embed_chain, recover_generator, ternary_digit, ternary_embed
 from .generators import GeneratorError, set_function_from_spec
-from .measure import VerificationReport, verify_inf_representation, verify_sup_representation
-from .scalar import ScalarModeError, format_scalar, parse_scalar
+from .measure import (
+    VerificationReport,
+    construction_verdict,
+    preconditions_hold,
+    verify_inf_representation,
+    verify_sup_representation,
+)
+from .scalar import ScalarModeError, format_scalar, parse_scalar, tolerance
 from .setfun import GroundSet, SetFunction, dual_transform, iter_submasks
 
 EXIT_OK = 0
@@ -53,7 +59,7 @@ def load_instance(path: str, exact: bool = True) -> SetFunction:
 
 def load_family(path: str) -> GeneratingFamily:
     obj = _read_json(path)
-    ground = GroundSet(int(obj["n"]), tuple(obj["labels"]) if obj.get("labels") else None)
+    ground = GroundSet.from_json_dict(obj)
     return GeneratingFamily(ground, tuple(ground.parse_subset(s) for s in obj["members"]))
 
 
@@ -206,23 +212,27 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise ValueError(f"{path}: {exc}") from exc
         if v.ground.n > SWEEP_MAX_POINTS:
             raise ValueError(f"{path}: sweep supports n <= {SWEEP_MAX_POINTS}")
-        verify = _route(v)
+        # Verdicts only: no report is built for a pair, and the
+        # preconditions, which depend on v alone, are checked once.
+        lower = _route(v) is verify_sup_representation
+        tol = tolerance(v.exact)
+        holds = preconditions_hold(v, submodular=lower, tol=tol)
         pairs = failures = 0
         unique = True
         for a in v.ground.subsets():
             for b in iter_submasks(a):
                 pairs += 1
-                report = verify(v, a, b)
-                if not report.passed:
+                passed, chain = construction_verdict(v, a, b, lower, tol)
+                if not (holds and passed):
                     failures += 1
-                unique = unique and _unique(report)
+                unique = unique and chain_generates(chain)
         ok = failures == 0 and unique
         all_ok = all_ok and ok
         summaries.append(
             {
                 "instance": path.name,
                 "n": v.ground.n,
-                "route": "sup" if verify is verify_sup_representation else "inf",
+                "route": "sup" if lower else "inf",
                 "pairs": pairs,
                 "failures": failures,
                 "unique": unique,

@@ -14,10 +14,11 @@ claim-for-claim agreement between the two routes asserted.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .chains import Chain, chain_from_order, chain_generates, insert_chain, maximal_chain
 from .scalar import Scalar, format_scalar, scalar_eq, scalar_ge, tolerance
@@ -100,9 +101,10 @@ def _telescope(
 ) -> tuple[Scalar, ...]:
     """Atoms of the telescoped measure in ascending point order: the atom at
     each point is the increment of ``values`` across the step adding it."""
+    sets = chain.sets
     by_point: dict[int, Scalar] = {}
-    for prev, cur, added in chain.steps():
-        by_point[added.bit_length() - 1] = values[cur] - values[prev]
+    for prev, cur in zip(sets, sets[1:]):
+        by_point[(cur ^ prev).bit_length() - 1] = values[cur] - values[prev]
     return tuple(by_point[p] for p in sorted(by_point))
 
 
@@ -155,25 +157,36 @@ class CoreCheck:
 
 
 def _scan_core(
-    tbl: dict[int, Scalar],
     points: Sequence[int],
     weights: Sequence[Scalar],
+    masks: Sequence[int],
+    sums: Sequence[Scalar],
     values: Sequence[Scalar],
-    carrier: int,
     lower: bool,
     tol: Scalar,
-) -> CoreCheck:
-    """Core scan of the measure with subset values ``tbl`` and atoms
-    ``weights`` at ``points`` against the set function values ``values``,
-    on ``carrier``, slack by ``tol`` (0 in exact mode)."""
-    negative = tuple(p for p, w in zip(points, weights) if w + tol < 0)
-    # scalar_eq also rejects a float measure checked against an exact v
-    mass_ok = scalar_eq(tbl[carrier], values[carrier], tol)
-    if lower:
-        violations = tuple(m for m, x in tbl.items() if x > values[m] + tol)
+) -> tuple[bool, tuple[int, ...], tuple[int, ...]]:
+    """Core scan of the measure with atoms ``weights`` at ``points``, whose
+    value on the subset ``masks[i]`` is ``sums[i]``, against the set
+    function values ``values[i]`` (the carrier last), slack by ``tol``.
+
+    Returns mass_ok, the negative points and the violating subsets.  In
+    exact mode (``tol`` is the int 0 of :func:`tolerance`) one ``map``
+    compares the two lists and the violations are listed only when there
+    are some; float mode keeps the tolerant expressions."""
+    if isinstance(tol, float):
+        negative = tuple(p for p, w in zip(points, weights) if w + tol < 0)
+        if lower:
+            violations = tuple(m for m, x, y in zip(masks, sums, values) if x > y + tol)
+        else:
+            violations = tuple(m for m, x, y in zip(masks, sums, values) if x + tol < y)
     else:
-        violations = tuple(m for m, x in tbl.items() if x + tol < values[m])
-    return CoreCheck(mass_ok, negative, violations, len(tbl))
+        negative = tuple(p for p, w in zip(points, weights) if w < 0)
+        cmp = operator.gt if lower else operator.lt
+        violations = ()
+        if any(map(cmp, sums, values)):
+            violations = tuple(m for m, x, y in zip(masks, sums, values) if cmp(x, y))
+    # scalar_eq also rejects a float measure checked against an exact v
+    return scalar_eq(sums[-1], values[-1], tol), negative, violations
 
 
 def core_check(
@@ -188,7 +201,10 @@ def core_check(
     weights nonnegative.  Upper core mirrors the inequality.
     """
     tol = tolerance(mu.exact and v.exact, eps)
-    return _scan_core(mu.table(), mu.points, mu.weights, v.table, mu.carrier, lower, tol)
+    masks = subset_masks(mu.points)
+    sums = subset_sums(mu.weights)
+    scan = _scan_core(mu.points, mu.weights, masks, sums, [v.table[m] for m in masks], lower, tol)
+    return CoreCheck(*scan, len(sums))
 
 
 def in_lower_core(
@@ -296,6 +312,110 @@ def _precondition_claims(v: SetFunction, submodular: bool, tol: Scalar) -> list[
     ]
 
 
+class Verdict(NamedTuple):
+    """The construction checks of one (A, B) pair, in the units of v's
+    scaled table: what a sweep reads, and what a report is built from."""
+
+    weights: tuple  # atoms at A's points, ascending
+    chain: Chain  # the insertion of B into A
+    sums: list  # mu on every subset of A, in local-mask order
+    chain_bad: tuple[int, ...]  # chain members where mu and v disagree
+    mass_ok: bool
+    negative_points: tuple[int, ...]
+    violations: tuple[int, ...]  # subsets of A where the core inequality fails
+    attained: bool
+
+    @property
+    def passed(self) -> bool:
+        return (self.mass_ok and self.attained and not self.chain_bad
+                and not self.negative_points and not self.violations)
+
+
+def _carrier(v: SetFunction, a: int) -> tuple[tuple[int, ...], list[int], dict, list]:
+    """A's points, every subset of A in local-mask order, the map from each
+    subset to its local mask, and v's scaled values in local-mask order;
+    memoised on v per A, since they do not depend on B."""
+
+    def compute() -> tuple[tuple[int, ...], list[int], dict, list]:
+        values, _ = v.scaled_table()
+        points = members(a)
+        masks = subset_masks(points)
+        return points, masks, {m: i for i, m in enumerate(masks)}, [values[m] for m in masks]
+
+    return v._cached(("carrier", a), compute)
+
+
+def _kernel(v: SetFunction, a: int, b: int, base: Chain, lower: bool, tol: Scalar) -> Verdict:
+    """Telescope v along the insertion of B into A and check the
+    construction on v's scaled table (:meth:`SetFunction.scaled_table`):
+    chain agreement, lower (or upper) core membership exhaustively over all
+    subsets of A, and attainment at B, with ``tol`` as the slack (0 in
+    exact mode).  Builds no Fraction and no report."""
+    chain = insert_chain(base, a, b)
+    values, _ = v.scaled_table()
+    points, masks, local, vloc = _carrier(v, a)
+    weights = _telescope(values, chain)
+    sums = subset_sums(weights)
+    mass_ok, negative, violations = _scan_core(points, weights, masks, sums, vloc, lower, tol)
+    chain_bad = tuple(s for s in chain.sets if abs(sums[local[s]] - vloc[local[s]]) > tol)
+    attained = abs(sums[local[b]] - vloc[local[b]]) <= tol
+    return Verdict(weights, chain, sums, chain_bad, mass_ok, negative, violations, attained)
+
+
+def _report(
+    v: SetFunction, a: int, b: int, base_order: tuple, verdict: Verdict, lower: bool
+) -> VerificationReport:
+    """The construction-only report of one pair, assembled from its
+    verdict; values go back to v's units, as Fractions, only here."""
+    _, scale = v.scaled_table()
+    unscale = (lambda x: Fraction(x, scale)) if v.exact else (lambda x: x)
+    points, _, local, _ = _carrier(v, a)
+    sums = verdict.sums
+
+    def mu_of(m: int) -> Scalar:
+        return unscale(sums[local[m]])
+
+    mu = AtomicMeasure(a, points, tuple(map(unscale, verdict.weights)))
+    vt = v.table
+    claims = [
+        Claim("mu agrees with v on every chain member", "chain",
+              (a, b), len(verdict.chain_bad), 0, not verdict.chain_bad)
+    ]
+    claims.extend(
+        Claim("mu(I) = v(I)", "chain", (s,), mu_of(s), vt[s], False) for s in verdict.chain_bad
+    )
+    claims.append(Claim("mu(A) = v(A)", "core", (a,), mu_of(a), vt[a], verdict.mass_ok))
+    negative = verdict.negative_points
+    claims.append(
+        Claim("all weights nonnegative", "core", (a,), len(negative), 0, not negative)
+    )
+    claims.extend(Claim("weight >= 0", "core", (1 << p,), mu.weight(p), 0, False) for p in negative)
+    rel = "<=" if lower else ">="
+    violations = verdict.violations
+    claims.append(
+        Claim(f"mu(E) {rel} v(E) for all E in A", "core", (a,),
+              len(violations), 0, not violations)
+    )
+    claims.extend(
+        Claim(f"mu(E) {rel} v(E)", "core", (m,), mu_of(m), vt[m], False) for m in violations
+    )
+    claims.append(Claim("mu(B) = v(B)", "attainment", (b,), mu_of(b), vt[b], verdict.attained))
+
+    return VerificationReport(
+        kind="sup-attainment" if lower else "inf-attainment",
+        context={
+            "A": a,
+            "B": b,
+            "base_order": list(base_order),
+            "chain": list(verdict.chain.sets),
+            "core_violations": list(violations),
+            "negative_points": list(negative),
+        },
+        witness=mu,
+        claims=claims,
+    )
+
+
 def _direct_route(
     v: SetFunction,
     a: int,
@@ -303,74 +423,15 @@ def _direct_route(
     base: Chain | Sequence[int] | None,
     lower: bool,
     tol: Scalar,
-) -> tuple[VerificationReport, tuple[int, ...], Chain, CoreCheck]:
-    """Telescope v along the insertion of B into A and check the
-    construction: chain agreement, lower (or upper) core membership
-    exhaustively over all subsets of A, and attainment at B.
-
-    The checks run on v's scaled table (:meth:`SetFunction.scaled_table`),
-    with ``tol`` as the slack (0 in exact mode); values go back to v's
-    units, as Fractions, only in the witness and the claims.  Returns the
-    construction-only report together with the base chain's point order,
-    the inserted chain and the core scan.
-    """
+) -> tuple[VerificationReport, tuple[int, ...], Verdict]:
+    """The kernel's verdict on (A, B) and the construction-only report
+    built from it, with the base chain's point order."""
     v.ground.check_subset(a)
     if b & ~a:
         raise ValueError("b must lie within a")
     base_chain, base_order = _resolve_base(v, base)
-    chain = insert_chain(base_chain, a, b)
-    values, scale = v.scaled_table()
-    unscale = (lambda x: Fraction(x, scale)) if v.exact else (lambda x: x)
-    points = members(a)
-    weights = _telescope(values, chain)
-    tbl = dict(zip(subset_masks(points), subset_sums(weights)))
-    check = _scan_core(tbl, points, weights, values, a, lower, tol)
-    mu = AtomicMeasure(a, points, tuple(map(unscale, weights)))
-    vt = v.table
-
-    chain_bad = [s for s in chain.sets if abs(tbl[s] - values[s]) > tol]
-    claims = [
-        Claim("mu agrees with v on every chain member", "chain",
-              (a, b), len(chain_bad), 0, not chain_bad)
-    ]
-    claims.extend(
-        Claim("mu(I) = v(I)", "chain", (s,), unscale(tbl[s]), vt[s], False) for s in chain_bad
-    )
-    claims.append(Claim("mu(A) = v(A)", "core", (a,), unscale(tbl[a]), vt[a], check.mass_ok))
-    claims.append(
-        Claim("all weights nonnegative", "core", (a,),
-              len(check.negative_points), 0, not check.negative_points)
-    )
-    claims.extend(
-        Claim("weight >= 0", "core", (1 << p,), mu.weight(p), 0, False)
-        for p in check.negative_points
-    )
-    rel = "<=" if lower else ">="
-    claims.append(
-        Claim(f"mu(E) {rel} v(E) for all E in A", "core", (a,),
-              len(check.violations), 0, not check.violations)
-    )
-    claims.extend(
-        Claim(f"mu(E) {rel} v(E)", "core", (m,), unscale(tbl[m]), vt[m], False)
-        for m in check.violations
-    )
-    attained = abs(tbl[b] - values[b]) <= tol
-    claims.append(Claim("mu(B) = v(B)", "attainment", (b,), unscale(tbl[b]), vt[b], attained))
-
-    report = VerificationReport(
-        kind="sup-attainment" if lower else "inf-attainment",
-        context={
-            "A": a,
-            "B": b,
-            "base_order": list(base_order),
-            "chain": list(chain.sets),
-            "core_violations": list(check.violations),
-            "negative_points": list(check.negative_points),
-        },
-        witness=mu,
-        claims=claims,
-    )
-    return report, base_order, chain, check
+    verdict = _kernel(v, a, b, base_chain, lower, tol)
+    return _report(v, a, b, base_order, verdict, lower), base_order, verdict
 
 
 def verify_sup_representation(
@@ -409,17 +470,71 @@ def verify_uniqueness(
     return chain_generates(insert_chain(_resolve_base(v, base)[0], a, b))
 
 
-def _restricted_dual(v: SetFunction, a: int) -> tuple[SetFunction, tuple[int, ...], dict]:
-    """The complement dual of v restricted to A, the map from local point
-    index to point, and the map from each subset of A to its local mask;
-    memoised on v per A, since they do not depend on B."""
+def _restricted_dual(v: SetFunction, a: int) -> tuple[SetFunction, tuple[int, ...]]:
+    """The complement dual of v restricted to A and the map from local point
+    index to point; memoised on v per A, since they do not depend on B."""
 
-    def compute() -> tuple[SetFunction, tuple[int, ...], dict]:
+    def compute() -> tuple[SetFunction, tuple[int, ...]]:
         restricted, pts = v.restrict(a)
-        local = {m: i for i, m in enumerate(subset_masks(pts))}
-        return dual_transform(restricted), pts, local
+        return dual_transform(restricted), pts
 
     return v._cached(("restricted dual", a), compute)
+
+
+def _dual_base(v: SetFunction, a: int, base_order: tuple) -> tuple[Chain, tuple]:
+    """The dual route's base chain and its order: A's points in the reverse
+    of the base order as local indices, the complemented restriction of the
+    base; memoised on v per (A, base order), since they do not depend on B."""
+
+    def compute() -> tuple[Chain, tuple]:
+        w, pts = _restricted_dual(v, a)
+        return _resolve_base(w, [pts.index(p) for p in reversed(base_order) if a >> p & 1])
+
+    return v._cached(("dual base", a, base_order), compute)
+
+
+def _dual_route(
+    v: SetFunction, a: int, b: int, base_order: tuple, tol: Scalar
+) -> tuple[SetFunction, int, tuple, Verdict]:
+    """The sup construction for the complement of B in A on w, the
+    complement dual of v restricted to A, under the complemented base: its
+    own kernel run on w's own table, reading nothing of the direct route.
+    The dual's preconditions are equivalent to v's, so only the
+    construction is checked.  Returns w, the complement of B as a local
+    mask, the dual base order and the verdict."""
+    w, _ = _restricted_dual(v, a)
+    _, _, local, _ = _carrier(v, a)
+    local_b = w.ground.full ^ local[b]
+    dual_chain, dual_order = _dual_base(v, a, base_order)
+    return w, local_b, dual_order, _kernel(w, w.ground.full, local_b, dual_chain, True, tol)
+
+
+def _consistency(
+    v: SetFunction, w: SetFunction, a: int, b: int, direct: Verdict, dual: Verdict, tol: Scalar
+) -> list[tuple[str, tuple[int, ...], object, object, bool]]:
+    """The five agreements between the direct and the dual verdict, as
+    (claim, subsets, lhs, rhs, passed).  Exact weights are compared across
+    the two tables' scales, ``x * L_w == y * L_v``."""
+    _, _, local, _ = _carrier(v, a)
+    full = w.ground.full
+    if v.exact:
+        l_v, l_w = v.scaled_table()[1], w.scaled_table()[1]
+        weights_match = all(x * l_w == y * l_v for x, y in zip(direct.weights, dual.weights))
+    else:
+        weights_match = all(scalar_eq(x, y, tol) for x, y in zip(direct.weights, dual.weights))
+    chains_match = dual.chain.sets == tuple(full ^ local[s] for s in reversed(direct.chain.sets))
+    direct_viol = {full ^ local[m] for m in direct.violations}
+    dual_viol = set(dual.violations)
+    return [
+        ("dual witness has identical weights", (a, b), None, None, weights_match),
+        ("dual chain is the complemented chain", (a, b), None, None, chains_match),
+        ("core violations correspond under complement", (a, b),
+         len(dual_viol ^ direct_viol), 0, dual_viol == direct_viol),
+        ("attainment agrees across routes", (b,),
+         direct.attained, dual.attained, direct.attained == dual.attained),
+        ("overall verdicts agree across routes", (a, b), None, None,
+         direct.passed == dual.passed),
+    ]
 
 
 def verify_inf_representation(
@@ -441,10 +556,8 @@ def verify_inf_representation(
     recorded as consistency claims.
     """
     tol = tolerance(v.exact, eps)
-    report, base_order, chain, check = _direct_route(v, a, b, base, lower=False, tol=tol)
+    report, base_order, direct = _direct_route(v, a, b, base, lower=False, tol=tol)
     report.claims[:0] = _precondition_claims(v, submodular=False, tol=tol)
-    mu = report.witness
-    assert mu is not None
 
     if a == 0:
         report.claims.append(
@@ -452,44 +565,34 @@ def verify_inf_representation(
         )
         return report
 
-    # Dual route on the restriction of v to A.  Its base adds A's points in
-    # the reverse of the base order: the complemented restriction of the base.
-    w, pts, local = _restricted_dual(v, a)
-    local_full = w.ground.full
-    local_order = [pts.index(p) for p in reversed(base_order) if a >> p & 1]
-    local_b = local_full ^ local[b]
-    # The dual's preconditions are equivalent to v's (already claimed above),
-    # so the inner run checks only the construction.
-    dual_report, *_ = _direct_route(w, local_full, local_b, local_order, lower=True, tol=tol)
-    report.dual = dual_report
-
-    dual_mu = dual_report.witness
-    assert dual_mu is not None
-    weights_match = all(scalar_eq(x, y, tol) for x, y in zip(mu.weights, dual_mu.weights))
-    chains_match = dual_report.context["chain"] == [
-        local_full ^ local[s] for s in reversed(chain.sets)
-    ]
-    direct_viol = {local_full ^ local[m] for m in check.violations}
-    dual_viol = set(dual_report.context["core_violations"])
-    direct_attained = scalar_eq(mu(b), v.table[b], tol)
-    dual_attained = scalar_eq(dual_mu(local_b), w.table[local_b], tol)
-
+    w, local_b, dual_order, dual = _dual_route(v, a, b, base_order, tol)
+    report.dual = _report(w, w.ground.full, local_b, dual_order, dual, lower=True)
     report.claims.extend(
-        [
-            Claim("dual witness has identical weights", "consistency",
-                  (a, b), None, None, weights_match),
-            Claim("dual chain is the complemented chain", "consistency",
-                  (a, b), None, None, chains_match),
-            Claim("core violations correspond under complement", "consistency",
-                  (a, b), len(dual_viol ^ direct_viol), 0, dual_viol == direct_viol),
-            Claim("attainment agrees across routes", "consistency",
-                  (b,), direct_attained, dual_attained, direct_attained == dual_attained),
-            Claim("overall verdicts agree across routes", "consistency",
-                  (a, b), None, None,
-                  report.construction_passed == dual_report.construction_passed),
-        ]
+        Claim(claim, "consistency", subsets, lhs, rhs, passed)
+        for claim, subsets, lhs, rhs, passed in _consistency(v, w, a, b, direct, dual, tol)
     )
     return report
+
+
+def preconditions_hold(v: SetFunction, submodular: bool, tol: Scalar) -> bool:
+    """Whether every precondition claim of the sup (or inf) check holds."""
+    return all(c.passed for c in _precondition_claims(v, submodular, tol))
+
+
+def construction_verdict(
+    v: SetFunction, a: int, b: int, lower: bool, tol: Scalar
+) -> tuple[bool, Chain]:
+    """``construction_passed`` of :func:`verify_sup_representation`
+    (``lower``) or :func:`verify_inf_representation` on (A, B) with the
+    default base, and the inserted chain, without building a report.  On
+    the inf check the dual route runs its own kernel, as in the report."""
+    base_chain, base_order = _resolve_base(v, None)
+    direct = _kernel(v, a, b, base_chain, lower, tol)
+    if lower or a == 0:
+        return direct.passed, direct.chain
+    w, _, _, dual = _dual_route(v, a, b, base_order, tol)
+    agree = all(row[-1] for row in _consistency(v, w, a, b, direct, dual, tol))
+    return direct.passed and agree, direct.chain
 
 
 def sample_core(
@@ -522,8 +625,9 @@ def find_sup_counterexample(
     monotone grounded input this always finds a witness pair.
     """
     tol = tolerance(v.exact, eps)
+    base_chain, _ = _resolve_base(v, base)
     for a in v.ground.subsets():
         for sub in iter_submasks(a):
-            if not verify_sup_representation(v, a, sub, base=base, eps=tol).construction_passed:
+            if not _kernel(v, a, sub, base_chain, True, tol).passed:
                 return a, sub
     return None

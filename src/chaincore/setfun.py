@@ -87,6 +87,15 @@ class GroundSet:
             if len(set(labels)) != self.n:
                 raise ValueError("labels must be unique")
 
+    @classmethod
+    def from_json_dict(cls, obj: dict) -> "GroundSet":
+        """Read ``{"n": int, "labels"?: [...]}``; a bool ``n`` is rejected,
+        not read as 0 or 1 points."""
+        n = obj["n"]
+        if isinstance(n, bool):
+            raise ValueError(f"not a ground set size: {n!r}")
+        return cls(int(n), tuple(obj["labels"]) if obj.get("labels") else None)
+
     @property
     def full(self) -> int:
         return (1 << self.n) - 1
@@ -191,7 +200,7 @@ class SetFunction:
 
         Every one of the 2**n subsets must be present.
         """
-        ground = GroundSet(int(obj["n"]), tuple(obj["labels"]) if obj.get("labels") else None)
+        ground = GroundSet.from_json_dict(obj)
         raw = obj.get("values")
         if not isinstance(raw, dict):
             raise ValueError('instance is missing a "values" table')

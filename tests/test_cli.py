@@ -263,3 +263,19 @@ def test_embed_recover_index_must_be_a_member(instance, capsys, bad):
     assert code == 2
     assert out == ""
     assert "member index" in err
+
+
+@pytest.mark.parametrize(
+    "command, obj, extra",
+    [
+        ("core", {"n": True, "values": {"0": 0, "1": 1}}, ["--B", "0"]),
+        ("embed", {"n": True, "members": [[0]]}, []),
+    ],
+    ids=["core", "embed"],
+)
+def test_bool_size_is_input_error(instance, capsys, command, obj, extra):
+    # int(True) == 1: without the check this loads as a one-point instance
+    code, out, err = run(capsys, command, instance(obj), *extra)
+    assert code == 2
+    assert out == ""
+    assert "ground set size" in err

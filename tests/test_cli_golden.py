@@ -4,9 +4,12 @@ Each case pins the exit code and the sha256 of stdout for one command,
 in exact and in float mode.  The digests were recorded before the sup and
 inf checks were merged into one direct route, and that merge left every
 byte unchanged; the digests of the generator-spec cases were recorded
-before the generators built their tables by doubling.  A changed digest is a change to the output format and
-must be made on purpose; ``PYTHONPATH=src python tests/test_cli_golden.py``
-prints the current digests.
+before the generators built their tables by doubling; the digests of the
+sweeps at the benchmark's sizes were recorded before the sweep stopped
+building a report per pair.  A changed digest is a change to the output
+format and must be made on purpose;
+``PYTHONPATH=src python tests/test_cli_golden.py`` prints the current
+digests.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import pytest
 
 from chaincore import random_monotone_nonsubmodular, random_submodular, random_supermodular
 from chaincore.cli import main
+from chaincore.generators import set_function_from_spec
 
 RUNNING = {
     "n": 3,
@@ -50,6 +54,33 @@ SPECS = {
                            "g": {"kind": "poly", "coeffs": [0, 2, -1]}},
 }
 
+# sweeps at the benchmark's sizes, one instance each: coverage and concave
+# distortion specs (sup route), complement duals of two of them (inf
+# route, so the dual route runs on every pair) and non-submodular tables
+# (every pair fails)
+BENCH_SPECS = {
+    "cov5": {"generator": "coverage", "covers": [3, 6, 12, 9, 5],
+             "weights": ["1/2", 1, "3/4", "0.3"]},
+    "cov6": {"generator": "coverage", "covers": [5, 10, 20, 17, 34, 12],
+             "weights": ["1/2", 1, "3/4", "0.3", "2/3", "5/4"]},
+    "concave5": {"generator": "distortion",
+                 "g": {"kind": "pwl", "knots": [[0, 0], ["1/3", "1/2"], ["2/3", "5/6"], [1, 1]]},
+                 "p": ["1/10", "1/5", "1/4", "3/20", "3/10"]},
+    "concave6": {"generator": "distortion",
+                 "g": {"kind": "pwl", "knots": [[0, 0], ["1/4", "2/5"], ["1/2", "7/10"], [1, 1]]},
+                 "p": ["1/12", "1/6", "1/4", "1/12", "1/4", "1/6"]},
+}
+
+
+def _bench_sweeps() -> dict[str, dict]:
+    return {
+        **BENCH_SPECS,
+        "dual5": set_function_from_spec(BENCH_SPECS["concave5"]).dual().to_json_dict(),
+        "dual6": set_function_from_spec(BENCH_SPECS["cov6"]).dual().to_json_dict(),
+        "non5": random_monotone_nonsubmodular(5, 505).to_json_dict(),
+        "non6": random_monotone_nonsubmodular(6, 606).to_json_dict(),
+    }
+
 
 def _write_inputs(root: Path) -> None:
     files = {
@@ -72,6 +103,9 @@ def _write_inputs(root: Path) -> None:
     (root / "corpus").mkdir()
     for name, v in corpus.items():
         (root / "corpus" / name).write_text(json.dumps(v.to_json_dict()))
+    for name, obj in _bench_sweeps().items():
+        (root / f"sweep-{name}").mkdir()
+        (root / f"sweep-{name}" / "instance.json").write_text(json.dumps(obj))
 
 
 #: (name, argv); the second word names a file or directory of the inputs.
@@ -96,6 +130,7 @@ COMMANDS = (
     ("core-spec-coverage", ["core", "spec-coverage.json", "--B", "10", "--chain", "5,4,3,2,1,0"]),
     ("check-spec-interval", ["check", "spec-interval.json"]),
     ("core-spec-interval", ["core", "spec-interval.json", "--A", "47", "--B", "33"]),
+    *((f"sweep-{name}", ["sweep", f"sweep-{name}"]) for name in _bench_sweeps()),
 )
 
 MODES = (("exact", []), ("float", ["--float"]))
@@ -122,6 +157,14 @@ EXPECTED = {
     'core-spec-coverage/exact': (0, '116001a2b394e7ba64df5c34da8f35955d19cde99e81126fe17fe2081326ae0d'),
     'check-spec-interval/exact': (0, '286bb1c7ada0decf91c3dbf6e8ed06b172d45e1c1c2f7c1dab99af7343433b2d'),
     'core-spec-interval/exact': (0, '3b8ca6069c9e2ac3936ff57a73b896dbf5ba5c45ca2ab626604f71b2578211e5'),
+    'sweep-cov5/exact': (0, 'eb4f36f8b4d5930d5bbdcdc238c76e43422df56597b0c622a2df868413cff1d9'),
+    'sweep-cov6/exact': (0, 'afe74dfca4d5ffd1be1632ac52d3dd6c23d12d0ae9fa263f978a525ce1d9a206'),
+    'sweep-concave5/exact': (0, 'eb4f36f8b4d5930d5bbdcdc238c76e43422df56597b0c622a2df868413cff1d9'),
+    'sweep-concave6/exact': (0, 'afe74dfca4d5ffd1be1632ac52d3dd6c23d12d0ae9fa263f978a525ce1d9a206'),
+    'sweep-dual5/exact': (0, '18edc4ef15b1c16f12fc4ee7bd53ed6c351d7c221bb3b1aaba6fc160ba8d7d26'),
+    'sweep-dual6/exact': (0, '95111bc05395cf614b75a65d9ec0c2a7611a54ee847d3252dd8b88653956cbf9'),
+    'sweep-non5/exact': (1, '04adf18d5e0196e48d5d4597ebcf8ee8b671b4fe6af00749a49b910561d0efa5'),
+    'sweep-non6/exact': (1, '8fcb68c372b1edc2a8ef1d94389da73e071aad20fac2eede84d9de35371bde26'),
     'core-sup/float': (0, '08385e5547a807a681d9928241f4e75e78c7f51ac931af1ac838af16819139dd'),
     'core-sup-chain/float': (0, '5dab9ce0cc19d56f211afac2ff1fca0568c309386d74dac34f210dd0bc688e4b'),
     'core-inf/float': (0, 'ee30cf14635771c9d2f6f1afa92eb6133de0d3144cd71252d5f4d1a13b716bb8'),
@@ -140,6 +183,14 @@ EXPECTED = {
     'core-spec-coverage/float': (0, 'c4aa6766a7930d6f0ab6daf7b1c4bd0d7eb648460635265607144f7baa948066'),
     'check-spec-interval/float': (0, '4e1d968b9706a3a140fec3722afb6e3bea06a6c4995cff8f9e119b1680b91cc2'),
     'core-spec-interval/float': (0, 'cc6c24adbf3492c8f19e5bbf738d343d7fcede5bcb616355531a5e27ac43729e'),
+    'sweep-cov5/float': (0, 'eb4f36f8b4d5930d5bbdcdc238c76e43422df56597b0c622a2df868413cff1d9'),
+    'sweep-cov6/float': (0, 'afe74dfca4d5ffd1be1632ac52d3dd6c23d12d0ae9fa263f978a525ce1d9a206'),
+    'sweep-concave5/float': (0, 'eb4f36f8b4d5930d5bbdcdc238c76e43422df56597b0c622a2df868413cff1d9'),
+    'sweep-concave6/float': (0, 'afe74dfca4d5ffd1be1632ac52d3dd6c23d12d0ae9fa263f978a525ce1d9a206'),
+    'sweep-dual5/float': (0, '18edc4ef15b1c16f12fc4ee7bd53ed6c351d7c221bb3b1aaba6fc160ba8d7d26'),
+    'sweep-dual6/float': (0, '95111bc05395cf614b75a65d9ec0c2a7611a54ee847d3252dd8b88653956cbf9'),
+    'sweep-non5/float': (1, '04adf18d5e0196e48d5d4597ebcf8ee8b671b4fe6af00749a49b910561d0efa5'),
+    'sweep-non6/float': (1, '8fcb68c372b1edc2a8ef1d94389da73e071aad20fac2eede84d9de35371bde26'),
 }
 
 

@@ -7,6 +7,9 @@ down from outside.
 * Scaling invariance: for any exact v and positive rational c, every
   verdict on ``c * v`` equals the one on v, and every reported value is
   c times the one on v.
+* Verdict kernel: the verdict a sweep reads without building a report
+  equals the report's, each check alone flips it, and a dual verdict that
+  disagrees with the direct one fails the pair.
 """
 
 from __future__ import annotations
@@ -14,10 +17,13 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chaincore.measure as measure
 from chaincore import (
+    Chain,
     GroundSet,
     PointFunction,
     SetFunction,
@@ -36,6 +42,9 @@ from chaincore import (
     verify_sup_representation,
     verify_uniqueness,
 )
+from chaincore.cli import _unique
+from chaincore.measure import construction_verdict, preconditions_hold
+from conftest import quadratic_capacity
 
 
 def _primes(count: int) -> list[int]:
@@ -210,3 +219,143 @@ def test_verdicts_and_values_scale_with_v(v, c, data):
     samples = data.draw(st.integers(1, 6))
     _assert_report_scales(verify_choquet_sup(v, f, samples=samples),
                           verify_choquet_sup(w, f, samples=samples), c)
+
+
+# -- the verdict kernel ---------------------------------------------------------------
+
+
+def non_grounded(n: int, seed: int) -> SetFunction:
+    """A submodular instance shifted by 1/3: v(empty) != 0, so the chain,
+    mass and attainment claims fail on every pair."""
+    v = random_submodular(n, seed)
+    return SetFunction(v.ground, tuple(x + Fraction(1, 3) for x in v.table))
+
+
+VERDICT_INSTANCES = {**INSTANCES, "nongrounded4": non_grounded(4, 18),
+                     "signed5": signed_table(5, 19)}
+
+
+def test_kernel_verdict_matches_the_report():
+    """On every pair, on both routes, in exact and float mode: the verdict
+    equals ``construction_passed``, together with the preconditions it
+    equals ``passed``, and its chain is maximal exactly when the report's
+    chain gives ``unique``."""
+    seen = set()
+    for name, exact_v in VERDICT_INSTANCES.items():
+        for v in (exact_v, _as_float(exact_v)):
+            tol = 0 if v.exact else resolve_eps()
+            for lower, verify in ((True, verify_sup_representation),
+                                  (False, verify_inf_representation)):
+                holds = preconditions_hold(v, submodular=lower, tol=tol)
+                for a in v.ground.subsets():
+                    for b in iter_submasks(a):
+                        report = verify(v, a, b)
+                        passed, chain = construction_verdict(v, a, b, lower, tol)
+                        where = (name, v.exact, lower, a, b)
+                        assert passed == report.construction_passed, where
+                        assert (holds and passed) == report.passed, where
+                        assert chain.is_maximal == _unique(report), where
+                        seen.add((v.exact, lower, passed))
+    assert seen == {(e, low, p) for e in (True, False) for low in (True, False)
+                    for p in (True, False)}
+
+
+def _verdict(v: SetFunction, a: int, b: int) -> measure.Verdict:
+    """The sup kernel's verdict on (A, B) in exact mode, default base."""
+    base, _ = measure._resolve_base(v, None)
+    return measure._kernel(v, a, b, base, True, 0)
+
+
+def _only(verdict: measure.Verdict, *failing: str) -> bool:
+    """Whether exactly the named checks of the verdict fail."""
+    fails = {
+        "chain_bad": bool(verdict.chain_bad),
+        "mass_ok": not verdict.mass_ok,
+        "negative_points": bool(verdict.negative_points),
+        "violations": bool(verdict.violations),
+        "attained": not verdict.attained,
+    }
+    return {k for k, bad in fails.items() if bad} == set(failing)
+
+
+#: check -> (a verdict field and its failing value, the claims that then fail)
+ALONE = {
+    "chain agreement": ("chain_bad", (0b0010,),
+                        {"mu agrees with v on every chain member", "mu(I) = v(I)"}),
+    "mass": ("mass_ok", False, {"mu(A) = v(A)"}),
+    "negative weight": ("negative_points", (1,), {"all weights nonnegative", "weight >= 0"}),
+    "core violation": ("violations", (0b1001,),
+                       {"mu(E) <= v(E) for all E in A", "mu(E) <= v(E)"}),
+    "attainment": ("attained", False, {"mu(B) = v(B)"}),
+}
+
+
+@pytest.mark.parametrize("check", sorted(ALONE))
+def test_each_check_alone_flips_the_verdict(check):
+    v = random_submodular(4, 11)
+    a, b = 0b1011, 0b0010
+    verdict = _verdict(v, a, b)
+    assert verdict.passed and _only(verdict)
+    name, value, claims = ALONE[check]
+    bad = verdict._replace(**{name: value})
+    assert _only(bad, name)
+    assert not bad.passed
+    report = measure._report(v, a, b, tuple(range(4)), bad, lower=True)
+    assert {c.claim for c in report.failures()} == claims
+
+
+def test_kernel_flags_a_negative_weight_alone():
+    # submodular and grounded but not monotone: the atom at point 1 is -1
+    v = SetFunction(GroundSet(2), tuple(map(Fraction, (0, 2, 1, 1))))
+    verdict = _verdict(v, 0b11, 0b01)
+    assert verdict.negative_points == (1,) and _only(verdict, "negative_points")
+    assert not construction_verdict(v, 0b11, 0b01, True, 0)[0]
+
+
+def test_kernel_flags_a_core_violation_alone():
+    # supermodular: mu({1}) = v({0,1}) - v({0}) = 1 exceeds v({1}) = 0
+    v = SetFunction(GroundSet(2), tuple(map(Fraction, (0, 0, 0, 1))))
+    verdict = _verdict(v, 0b11, 0b01)
+    assert verdict.violations == (0b10,) and _only(verdict, "violations")
+    assert not construction_verdict(v, 0b11, 0b01, True, 0)[0]
+
+
+def test_kernel_flags_a_missed_attainment_alone(monkeypatch):
+    # a chain that skips B: on strictly submodular v, mu(B) < v(B)
+    v = quadratic_capacity(3)
+    monkeypatch.setattr(measure, "insert_chain", lambda base, a, b: base)
+    verdict = _verdict(v, 0b111, 0b010)
+    assert _only(verdict, "attained")
+    assert not construction_verdict(v, 0b111, 0b010, True, 0)[0]
+
+
+#: a corruption of the dual verdict -> the consistency claims that then fail
+CORRUPT = {
+    "weights": (lambda d: d._replace(weights=(d.weights[0] + 1, *d.weights[1:])),
+                {"dual witness has identical weights"}),
+    "chain": (lambda d: d._replace(chain=Chain(d.chain.carrier, (0, d.chain.carrier))),
+              {"dual chain is the complemented chain"}),
+    "violations": (lambda d: d._replace(violations=(d.chain.carrier,)),
+                   {"core violations correspond under complement",
+                    "overall verdicts agree across routes"}),
+    "attainment": (lambda d: d._replace(attained=False),
+                   {"attainment agrees across routes", "overall verdicts agree across routes"}),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPT))
+def test_a_corrupted_dual_verdict_fails_the_pair(monkeypatch, corruption):
+    v = random_supermodular(4, 13)
+    a, b = 0b1101, 0b0100
+    assert construction_verdict(v, a, b, False, 0)[0]
+    assert verify_inf_representation(v, a, b).passed
+    corrupt, claims = CORRUPT[corruption]
+    dual_route = measure._dual_route
+
+    def corrupted(*args):
+        w, local_b, order, dual = dual_route(*args)
+        return w, local_b, order, corrupt(dual)
+
+    monkeypatch.setattr(measure, "_dual_route", corrupted)
+    assert not construction_verdict(v, a, b, False, 0)[0]
+    assert {c.claim for c in verify_inf_representation(v, a, b).failures()} == claims
