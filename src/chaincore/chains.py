@@ -21,6 +21,12 @@ from typing import Iterable, Iterator, Sequence
 from .setfun import GroundSet, members
 
 
+def one_point_steps(sets: Sequence[int]) -> bool:
+    """Whether each step of an increasing sequence of sets adds exactly one
+    point: for a chain, maximality."""
+    return all((cur ^ prev).bit_count() == 1 for prev, cur in zip(sets, sets[1:]))
+
+
 @dataclass(frozen=True)
 class Chain:
     """Strictly increasing subsets from the empty set to ``carrier``."""
@@ -52,9 +58,7 @@ class Chain:
     @property
     def is_maximal(self) -> bool:
         """Every step adds exactly one point."""
-        return all(
-            (cur ^ prev).bit_count() == 1 for prev, cur in zip(self.sets, self.sets[1:])
-        )
+        return one_point_steps(self.sets)
 
     def steps(self) -> Iterator[tuple[int, int, int]]:
         """Consecutive (previous, current, added) triples."""

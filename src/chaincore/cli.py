@@ -12,19 +12,19 @@ import json
 import sys
 from pathlib import Path
 
-from .chains import Chain, chain_generates
+from .chains import Chain, chain_generates, one_point_steps
 from .choquet import PointFunction, verify_choquet_sup
 from .embed import GeneratingFamily, embed_chain, recover_generator, ternary_digit, ternary_embed
 from .generators import GeneratorError, set_function_from_spec
 from .measure import (
     VerificationReport,
-    construction_verdict,
+    construction_verdicts,
     preconditions_hold,
     verify_inf_representation,
     verify_sup_representation,
 )
 from .scalar import ScalarModeError, format_scalar, parse_scalar, tolerance
-from .setfun import GroundSet, SetFunction, dual_transform, iter_submasks
+from .setfun import GroundSet, SetFunction, dual_transform
 
 EXIT_OK = 0
 EXIT_CLAIM_FAILED = 1
@@ -212,20 +212,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise ValueError(f"{path}: {exc}") from exc
         if v.ground.n > SWEEP_MAX_POINTS:
             raise ValueError(f"{path}: sweep supports n <= {SWEEP_MAX_POINTS}")
-        # Verdicts only: no report is built for a pair, and the
-        # preconditions, which depend on v alone, are checked once.
+        # Verdicts only: one kernel call per carrier A checks every B inside
+        # it, no report is built for a pair, and the preconditions, which
+        # depend on v alone, are checked once.
         lower = _route(v) is verify_sup_representation
         tol = tolerance(v.exact)
         holds = preconditions_hold(v, submodular=lower, tol=tol)
         pairs = failures = 0
         unique = True
         for a in v.ground.subsets():
-            for b in iter_submasks(a):
+            for passed, chain in construction_verdicts(v, a, lower, tol):
                 pairs += 1
-                passed, chain = construction_verdict(v, a, b, lower, tol)
                 if not (holds and passed):
                     failures += 1
-                unique = unique and chain_generates(chain)
+                unique = unique and one_point_steps(chain)
         ok = failures == 0 and unique
         all_ok = all_ok and ok
         summaries.append(

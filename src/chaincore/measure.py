@@ -17,12 +17,14 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from itertools import count
 from random import Random
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .chains import Chain, chain_from_order, chain_generates, insert_chain, maximal_chain
 from .scalar import Scalar, format_scalar, scalar_eq, scalar_ge, tolerance
-from .setfun import SetFunction, dual_transform, iter_submasks, members, subset_masks, subset_sums
+from .setfun import SetFunction, dual_transform, members, subset_masks, subset_sums
 
 
 @dataclass(frozen=True)
@@ -156,37 +158,38 @@ class CoreCheck:
         return self.mass_ok and not self.negative_points and not self.violations
 
 
-def _scan_core(
-    points: Sequence[int],
-    weights: Sequence[Scalar],
-    masks: Sequence[int],
-    sums: Sequence[Scalar],
-    values: Sequence[Scalar],
-    lower: bool,
-    tol: Scalar,
-) -> tuple[bool, tuple[int, ...], tuple[int, ...]]:
-    """Core scan of the measure with atoms ``weights`` at ``points``, whose
-    value on the subset ``masks[i]`` is ``sums[i]``, against the set
-    function values ``values[i]`` (the carrier last), slack by ``tol``.
+_CoreScan = Callable[[Sequence[Scalar], Sequence[Scalar], Sequence[Scalar]],
+                    tuple[bool, tuple[int, ...], tuple[int, ...]]]
 
-    Returns mass_ok, the negative points and the violating subsets.  In
-    exact mode (``tol`` is the int 0 of :func:`tolerance`) one ``map``
-    compares the two lists and the violations are listed only when there
-    are some; float mode keeps the tolerant expressions."""
+
+def _core_scanner(lower: bool, tol: Scalar) -> _CoreScan:
+    """The core scan, its compare chosen once for the arithmetic mode.
+
+    ``scan(weights, sums, values)`` checks the measure with atoms
+    ``weights`` (in local index order), whose value on each subset is
+    ``sums`` in local-mask order, against the set function ``values`` in
+    the same order (the carrier last), slack by ``tol``.  It returns
+    mass_ok, the local indices of the negative atoms and the local masks
+    of the violating subsets.  In exact mode (``tol`` is the int 0 of
+    :func:`tolerance`) the compare is a plain ``operator.gt`` or ``lt``;
+    float mode keeps the tolerant expressions.  One ``map`` compares the
+    two lists, and the violations are listed only when there are some."""
     if isinstance(tol, float):
-        negative = tuple(p for p, w in zip(points, weights) if w + tol < 0)
-        if lower:
-            violations = tuple(m for m, x, y in zip(masks, sums, values) if x > y + tol)
-        else:
-            violations = tuple(m for m, x, y in zip(masks, sums, values) if x + tol < y)
+        violated = (lambda x, y: x > y + tol) if lower else (lambda x, y: x + tol < y)
+        # scalar_eq also rejects a float measure checked against an exact v
+        same = partial(scalar_eq, eps=tol)
     else:
-        negative = tuple(p for p, w in zip(points, weights) if w < 0)
-        cmp = operator.gt if lower else operator.lt
-        violations = ()
-        if any(map(cmp, sums, values)):
-            violations = tuple(m for m, x, y in zip(masks, sums, values) if cmp(x, y))
-    # scalar_eq also rejects a float measure checked against an exact v
-    return scalar_eq(sums[-1], values[-1], tol), negative, violations
+        violated = operator.gt if lower else operator.lt
+        same = operator.eq
+
+    def scan(weights, sums, values):
+        negative = tuple(i for i, w in enumerate(weights) if w + tol < 0)
+        violations: tuple[int, ...] = ()
+        if any(map(violated, sums, values)):
+            violations = tuple(m for m, x, y in zip(count(), sums, values) if violated(x, y))
+        return same(sums[-1], values[-1]), negative, violations
+
+    return scan
 
 
 def core_check(
@@ -200,11 +203,12 @@ def core_check(
     Lower core: mu(A) = v(A), mu(E) <= v(E) for every E inside A, and all
     weights nonnegative.  Upper core mirrors the inequality.
     """
-    tol = tolerance(mu.exact and v.exact, eps)
+    scan = _core_scanner(lower, tolerance(mu.exact and v.exact, eps))
     masks = subset_masks(mu.points)
     sums = subset_sums(mu.weights)
-    scan = _scan_core(mu.points, mu.weights, masks, sums, [v.table[m] for m in masks], lower, tol)
-    return CoreCheck(*scan, len(sums))
+    mass_ok, negative, violations = scan(mu.weights, sums, [v.table[m] for m in masks])
+    return CoreCheck(mass_ok, tuple(mu.points[i] for i in negative),
+                     tuple(masks[m] for m in violations), len(sums))
 
 
 def in_lower_core(
@@ -313,16 +317,18 @@ def _precondition_claims(v: SetFunction, submodular: bool, tol: Scalar) -> list[
 
 
 class Verdict(NamedTuple):
-    """The construction checks of one (A, B) pair, in the units of v's
-    scaled table: what a sweep reads, and what a report is built from."""
+    """The construction checks of one (A, B) pair in A's local coordinates
+    (local index i is A's i-th point, ascending; a local mask picks local
+    indices) and in the units of v's scaled table: what a sweep reads, and
+    what a report is built from."""
 
-    weights: tuple  # atoms at A's points, ascending
-    chain: Chain  # the insertion of B into A
+    weights: list  # atoms at A's points, in local index order
+    chain: tuple[int, ...]  # the insertion of B into A, as local masks
     sums: list  # mu on every subset of A, in local-mask order
-    chain_bad: tuple[int, ...]  # chain members where mu and v disagree
+    chain_bad: tuple[int, ...]  # local masks of the chain members where mu and v disagree
     mass_ok: bool
-    negative_points: tuple[int, ...]
-    violations: tuple[int, ...]  # subsets of A where the core inequality fails
+    negative_points: tuple[int, ...]  # local indices
+    violations: tuple[int, ...]  # local masks of the subsets where the core inequality fails
     attained: bool
 
     @property
@@ -331,75 +337,100 @@ class Verdict(NamedTuple):
                 and not self.negative_points and not self.violations)
 
 
-def _carrier(v: SetFunction, a: int) -> tuple[tuple[int, ...], list[int], dict, list]:
-    """A's points, every subset of A in local-mask order, the map from each
-    subset to its local mask, and v's scaled values in local-mask order;
-    memoised on v per A, since they do not depend on B."""
+def _carrier(v: SetFunction, a: int) -> tuple[tuple[int, ...], list[int], list]:
+    """A's points, every subset of A in local-mask order (the global mask
+    at the index of its local mask), and v's scaled values in local-mask
+    order; memoised on v per A, since they do not depend on B."""
 
-    def compute() -> tuple[tuple[int, ...], list[int], dict, list]:
+    def compute() -> tuple[tuple[int, ...], list[int], list]:
         values, _ = v.scaled_table()
         points = members(a)
         masks = subset_masks(points)
-        return points, masks, {m: i for i, m in enumerate(masks)}, [values[m] for m in masks]
+        return points, masks, [values[m] for m in masks]
 
     return v._cached(("carrier", a), compute)
 
 
-def _kernel(v: SetFunction, a: int, b: int, base: Chain, lower: bool, tol: Scalar) -> Verdict:
-    """Telescope v along the insertion of B into A and check the
+def _local_order(points: Sequence[int], base_order: Sequence[int]) -> list[int]:
+    """The base order cut to ``points``, as local indices."""
+    index = {p: i for i, p in enumerate(points)}
+    return [index[p] for p in base_order if p in index]
+
+
+def _inserted_order(order: list[int], b: int) -> list[int]:
+    """B's bits in base order, then the other bits of A in base order: the
+    order in which the insertion of B into A adds A's points, which for a
+    maximal base is :func:`insert_chain`."""
+    return [bit for bit in order if bit & b] + [bit for bit in order if not bit & b]
+
+
+def _kernel(
+    v: SetFunction, a: int, bs: Iterable[int], base_order: Sequence[int], lower: bool, tol: Scalar
+) -> Iterator[Verdict]:
+    """The verdict of each B in ``bs``, given as a local mask of A, in turn.
+
+    For each B, telescope v along the insertion of B into A and check the
     construction on v's scaled table (:meth:`SetFunction.scaled_table`):
     chain agreement, lower (or upper) core membership exhaustively over all
     subsets of A, and attainment at B, with ``tol`` as the slack (0 in
-    exact mode).  Builds no Fraction and no report."""
-    chain = insert_chain(base, a, b)
-    values, _ = v.scaled_table()
-    points, masks, local, vloc = _carrier(v, a)
-    weights = _telescope(values, chain)
-    sums = subset_sums(weights)
-    mass_ok, negative, violations = _scan_core(points, weights, masks, sums, vloc, lower, tol)
-    chain_bad = tuple(s for s in chain.sets if abs(sums[local[s]] - vloc[local[s]]) > tol)
-    attained = abs(sums[local[b]] - vloc[local[b]]) <= tol
-    return Verdict(weights, chain, sums, chain_bad, mass_ok, negative, violations, attained)
+    exact mode).  A's points and values, the base order cut to A and the
+    core compare are set up once per call; everything runs in A's local
+    coordinates, and no Fraction and no report is built."""
+    points, _, vloc = _carrier(v, a)
+    order = [1 << i for i in _local_order(points, base_order)]
+    scan = _core_scanner(lower, tol)
+    for b in bs:
+        chain = [0]
+        weights: list = [None] * len(points)
+        prev = 0
+        for bit in _inserted_order(order, b):
+            cur = prev | bit
+            chain.append(cur)
+            weights[bit.bit_length() - 1] = vloc[cur] - vloc[prev]
+            prev = cur
+        sums = subset_sums(weights)
+        mass_ok, negative, violations = scan(weights, sums, vloc)
+        chain_bad = tuple(s for s in chain if abs(sums[s] - vloc[s]) > tol)
+        attained = abs(sums[b] - vloc[b]) <= tol
+        yield Verdict(weights, tuple(chain), sums, chain_bad, mass_ok, negative, violations,
+                      attained)
 
 
 def _report(
     v: SetFunction, a: int, b: int, base_order: tuple, verdict: Verdict, lower: bool
 ) -> VerificationReport:
     """The construction-only report of one pair, assembled from its
-    verdict; values go back to v's units, as Fractions, only here."""
+    verdict; masks go back to v's ground set, and values to v's units, as
+    Fractions, only here."""
     _, scale = v.scaled_table()
     unscale = (lambda x: Fraction(x, scale)) if v.exact else (lambda x: x)
-    points, _, local, _ = _carrier(v, a)
+    points, masks, _ = _carrier(v, a)
     sums = verdict.sums
 
-    def mu_of(m: int) -> Scalar:
-        return unscale(sums[local[m]])
+    def claim(name: str, category: str, local: int, passed: bool) -> Claim:
+        """mu against v on the subset with local mask ``local``."""
+        m = masks[local]
+        return Claim(name, category, (m,), unscale(sums[local]), v.table[m], passed)
 
     mu = AtomicMeasure(a, points, tuple(map(unscale, verdict.weights)))
-    vt = v.table
     claims = [
         Claim("mu agrees with v on every chain member", "chain",
               (a, b), len(verdict.chain_bad), 0, not verdict.chain_bad)
     ]
-    claims.extend(
-        Claim("mu(I) = v(I)", "chain", (s,), mu_of(s), vt[s], False) for s in verdict.chain_bad
-    )
-    claims.append(Claim("mu(A) = v(A)", "core", (a,), mu_of(a), vt[a], verdict.mass_ok))
-    negative = verdict.negative_points
+    claims.extend(claim("mu(I) = v(I)", "chain", s, False) for s in verdict.chain_bad)
+    claims.append(claim("mu(A) = v(A)", "core", len(masks) - 1, verdict.mass_ok))
+    negative = tuple(points[i] for i in verdict.negative_points)
     claims.append(
         Claim("all weights nonnegative", "core", (a,), len(negative), 0, not negative)
     )
     claims.extend(Claim("weight >= 0", "core", (1 << p,), mu.weight(p), 0, False) for p in negative)
     rel = "<=" if lower else ">="
-    violations = verdict.violations
     claims.append(
         Claim(f"mu(E) {rel} v(E) for all E in A", "core", (a,),
-              len(violations), 0, not violations)
+              len(verdict.violations), 0, not verdict.violations)
     )
-    claims.extend(
-        Claim(f"mu(E) {rel} v(E)", "core", (m,), mu_of(m), vt[m], False) for m in violations
-    )
-    claims.append(Claim("mu(B) = v(B)", "attainment", (b,), mu_of(b), vt[b], verdict.attained))
+    claims.extend(claim(f"mu(E) {rel} v(E)", "core", m, False) for m in verdict.violations)
+    claims.append(claim("mu(B) = v(B)", "attainment", masks.index(b), verdict.attained))
 
     return VerificationReport(
         kind="sup-attainment" if lower else "inf-attainment",
@@ -407,8 +438,8 @@ def _report(
             "A": a,
             "B": b,
             "base_order": list(base_order),
-            "chain": list(verdict.chain.sets),
-            "core_violations": list(violations),
+            "chain": [masks[s] for s in verdict.chain],
+            "core_violations": [masks[m] for m in verdict.violations],
             "negative_points": list(negative),
         },
         witness=mu,
@@ -423,15 +454,16 @@ def _direct_route(
     base: Chain | Sequence[int] | None,
     lower: bool,
     tol: Scalar,
-) -> tuple[VerificationReport, tuple[int, ...], Verdict]:
+) -> tuple[VerificationReport, tuple[int, ...], int, Verdict]:
     """The kernel's verdict on (A, B) and the construction-only report
-    built from it, with the base chain's point order."""
+    built from it, with the base chain's point order and B's local mask."""
     v.ground.check_subset(a)
     if b & ~a:
         raise ValueError("b must lie within a")
-    base_chain, base_order = _resolve_base(v, base)
-    verdict = _kernel(v, a, b, base_chain, lower, tol)
-    return _report(v, a, b, base_order, verdict, lower), base_order, verdict
+    _, base_order = _resolve_base(v, base)
+    local_b = _carrier(v, a)[1].index(b)
+    verdict = next(_kernel(v, a, (local_b,), base_order, lower, tol))
+    return _report(v, a, b, base_order, verdict, lower), base_order, local_b, verdict
 
 
 def verify_sup_representation(
@@ -481,60 +513,54 @@ def _restricted_dual(v: SetFunction, a: int) -> tuple[SetFunction, tuple[int, ..
     return v._cached(("restricted dual", a), compute)
 
 
-def _dual_base(v: SetFunction, a: int, base_order: tuple) -> tuple[Chain, tuple]:
-    """The dual route's base chain and its order: A's points in the reverse
-    of the base order as local indices, the complemented restriction of the
-    base; memoised on v per (A, base order), since they do not depend on B."""
-
-    def compute() -> tuple[Chain, tuple]:
-        w, pts = _restricted_dual(v, a)
-        return _resolve_base(w, [pts.index(p) for p in reversed(base_order) if a >> p & 1])
-
-    return v._cached(("dual base", a, base_order), compute)
-
-
 def _dual_route(
-    v: SetFunction, a: int, b: int, base_order: tuple, tol: Scalar
-) -> tuple[SetFunction, int, tuple, Verdict]:
-    """The sup construction for the complement of B in A on w, the
-    complement dual of v restricted to A, under the complemented base: its
-    own kernel run on w's own table, reading nothing of the direct route.
-    The dual's preconditions are equivalent to v's, so only the
-    construction is checked.  Returns w, the complement of B as a local
-    mask, the dual base order and the verdict."""
-    w, _ = _restricted_dual(v, a)
-    _, _, local, _ = _carrier(v, a)
-    local_b = w.ground.full ^ local[b]
-    dual_chain, dual_order = _dual_base(v, a, base_order)
-    return w, local_b, dual_order, _kernel(w, w.ground.full, local_b, dual_chain, True, tol)
+    v: SetFunction, a: int, bs: Iterable[int], base_order: tuple, tol: Scalar
+) -> tuple[SetFunction, list[int], Iterator[Verdict]]:
+    """The sup construction for the complement of each B in A on w, the
+    complement dual of v restricted to A, under the reversed base: its own
+    kernel run on w's own table, reading nothing of the direct route.  w's
+    ground set is A's local coordinates, so B (a local mask of A) pairs
+    with its complement ``full ^ B``.  The dual's preconditions are
+    equivalent to v's, so only the construction is checked.  Returns w,
+    the dual base order and the verdict of each B in turn."""
+    w, points = _restricted_dual(v, a)
+    full = w.ground.full
+    dual_order = _local_order(points, base_order)[::-1]
+    return w, dual_order, _kernel(w, full, (full ^ b for b in bs), dual_order, True, tol)
+
+
+_Agreement = tuple[bool, bool, int, bool, bool]
 
 
 def _consistency(
-    v: SetFunction, w: SetFunction, a: int, b: int, direct: Verdict, dual: Verdict, tol: Scalar
-) -> list[tuple[str, tuple[int, ...], object, object, bool]]:
-    """The five agreements between the direct and the dual verdict, as
-    (claim, subsets, lhs, rhs, passed).  Exact weights are compared across
-    the two tables' scales, ``x * L_w == y * L_v``."""
-    _, _, local, _ = _carrier(v, a)
+    v: SetFunction, w: SetFunction, tol: Scalar
+) -> Callable[[Verdict, Verdict], _Agreement]:
+    """The comparison of a direct verdict on (A, B) with the dual verdict
+    on the complement of B, set up once per carrier: ``agree(direct,
+    dual)`` gives whether the weights are identical, whether the dual
+    chain is the complemented chain, how many core violations have no
+    complemented counterpart, whether attainment agrees and whether the
+    overall verdicts agree.  Both verdicts are in A's local coordinates,
+    so a local mask corresponds to its complement in w's full set.  Exact
+    weights are compared across the two tables' scales, ``x * L_w == y * L_v``."""
     full = w.ground.full
     if v.exact:
         l_v, l_w = v.scaled_table()[1], w.scaled_table()[1]
-        weights_match = all(x * l_w == y * l_v for x, y in zip(direct.weights, dual.weights))
+
+        def same(x: Scalar, y: Scalar) -> bool:
+            return x * l_w == y * l_v
     else:
-        weights_match = all(scalar_eq(x, y, tol) for x, y in zip(direct.weights, dual.weights))
-    chains_match = dual.chain.sets == tuple(full ^ local[s] for s in reversed(direct.chain.sets))
-    direct_viol = {full ^ local[m] for m in direct.violations}
-    dual_viol = set(dual.violations)
-    return [
-        ("dual witness has identical weights", (a, b), None, None, weights_match),
-        ("dual chain is the complemented chain", (a, b), None, None, chains_match),
-        ("core violations correspond under complement", (a, b),
-         len(dual_viol ^ direct_viol), 0, dual_viol == direct_viol),
-        ("attainment agrees across routes", (b,),
-         direct.attained, dual.attained, direct.attained == dual.attained),
-        ("overall verdicts agree across routes", (a, b), None, None,
-         direct.passed == dual.passed),
-    ]
+        same = partial(scalar_eq, eps=tol)
+
+    def agree(direct: Verdict, dual: Verdict) -> _Agreement:
+        unmatched = {full ^ m for m in direct.violations} ^ set(dual.violations)
+        return (all(map(same, direct.weights, dual.weights)),
+                dual.chain == tuple(full ^ s for s in reversed(direct.chain)),
+                len(unmatched),
+                direct.attained == dual.attained,
+                direct.passed == dual.passed)
+
+    return agree
 
 
 def verify_inf_representation(
@@ -556,7 +582,7 @@ def verify_inf_representation(
     recorded as consistency claims.
     """
     tol = tolerance(v.exact, eps)
-    report, base_order, direct = _direct_route(v, a, b, base, lower=False, tol=tol)
+    report, base_order, local_b, direct = _direct_route(v, a, b, base, lower=False, tol=tol)
     report.claims[:0] = _precondition_claims(v, submodular=False, tol=tol)
 
     if a == 0:
@@ -565,12 +591,23 @@ def verify_inf_representation(
         )
         return report
 
-    w, local_b, dual_order, dual = _dual_route(v, a, b, base_order, tol)
-    report.dual = _report(w, w.ground.full, local_b, dual_order, dual, lower=True)
-    report.claims.extend(
-        Claim(claim, "consistency", subsets, lhs, rhs, passed)
-        for claim, subsets, lhs, rhs, passed in _consistency(v, w, a, b, direct, dual, tol)
-    )
+    w, dual_order, duals = _dual_route(v, a, (local_b,), base_order, tol)
+    dual = next(duals)
+    report.dual = _report(w, w.ground.full, w.ground.full ^ local_b, dual_order, dual, lower=True)
+    weights_match, chains_match, unmatched, attained_match, verdicts_match = _consistency(
+        v, w, tol)(direct, dual)
+    report.claims += [
+        Claim("dual witness has identical weights", "consistency", (a, b), None, None,
+              weights_match),
+        Claim("dual chain is the complemented chain", "consistency", (a, b), None, None,
+              chains_match),
+        Claim("core violations correspond under complement", "consistency", (a, b),
+              unmatched, 0, not unmatched),
+        Claim("attainment agrees across routes", "consistency", (b,),
+              direct.attained, dual.attained, attained_match),
+        Claim("overall verdicts agree across routes", "consistency", (a, b), None, None,
+              verdicts_match),
+    ]
     return report
 
 
@@ -579,20 +616,33 @@ def preconditions_hold(v: SetFunction, submodular: bool, tol: Scalar) -> bool:
     return all(c.passed for c in _precondition_claims(v, submodular, tol))
 
 
-def construction_verdict(
-    v: SetFunction, a: int, b: int, lower: bool, tol: Scalar
-) -> tuple[bool, Chain]:
-    """``construction_passed`` of :func:`verify_sup_representation`
+def construction_verdicts(
+    v: SetFunction,
+    a: int,
+    lower: bool,
+    tol: Scalar,
+    base: Chain | Sequence[int] | None = None,
+) -> list[tuple[bool, tuple[int, ...]]]:
+    """For every B inside A, at the index of B's local mask:
+    ``construction_passed`` of :func:`verify_sup_representation`
     (``lower``) or :func:`verify_inf_representation` on (A, B) with the
-    default base, and the inserted chain, without building a report.  On
-    the inf check the dual route runs its own kernel, as in the report."""
-    base_chain, base_order = _resolve_base(v, None)
-    direct = _kernel(v, a, b, base_chain, lower, tol)
+    same base, and the inserted chain as local masks of A, without
+    building a report.  One kernel call checks every B; on the inf check
+    the dual route runs its own kernel once for the carrier, as in the
+    report, and each B is compared with its complement's dual verdict."""
+    _, base_order = _resolve_base(v, base)
+    bs = range(1 << a.bit_count())
+    direct = _kernel(v, a, bs, base_order, lower, tol)
     if lower or a == 0:
-        return direct.passed, direct.chain
-    w, _, _, dual = _dual_route(v, a, b, base_order, tol)
-    agree = all(row[-1] for row in _consistency(v, w, a, b, direct, dual, tol))
-    return direct.passed and agree, direct.chain
+        return [(d.passed, d.chain) for d in direct]
+    w, _, duals = _dual_route(v, a, bs, base_order, tol)
+    agree = _consistency(v, w, tol)
+    out = []
+    for d, e in zip(direct, duals):
+        weights_match, chains_match, unmatched, attained_match, verdicts_match = agree(d, e)
+        out.append((d.passed and weights_match and chains_match and not unmatched
+                    and attained_match and verdicts_match, d.chain))
+    return out
 
 
 def sample_core(
@@ -627,7 +677,9 @@ def find_sup_counterexample(
     tol = tolerance(v.exact, eps)
     base_chain, _ = _resolve_base(v, base)
     for a in v.ground.subsets():
-        for sub in iter_submasks(a):
-            if not _kernel(v, a, sub, base_chain, True, tol).passed:
-                return a, sub
+        verdicts = construction_verdicts(v, a, True, tol, base_chain)
+        # descending local masks: the order of iter_submasks(a)
+        for b in reversed(range(len(verdicts))):
+            if not verdicts[b][0]:
+                return a, _carrier(v, a)[1][b]
     return None

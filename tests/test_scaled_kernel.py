@@ -10,11 +10,21 @@ down from outside.
 * Verdict kernel: the verdict a sweep reads without building a report
   equals the report's, each check alone flips it, and a dual verdict that
   disagrees with the direct one fails the pair.
+* Carrier-batched kernel: one call per carrier gives, for every B, the
+  verdict of the per-pair report and ``insert_chain`` in local masks,
+  under every base; the sweep's counts equal a per-pair loop's; the
+  float compares use the tolerance in effect; and the counterexample is
+  the first failing pair.
 """
 
 from __future__ import annotations
 
+import json
+from contextlib import redirect_stdout
 from fractions import Fraction
+from io import StringIO
+from itertools import permutations
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -23,15 +33,16 @@ from hypothesis import strategies as st
 
 import chaincore.measure as measure
 from chaincore import (
-    Chain,
     GroundSet,
     PointFunction,
     SetFunction,
     chain_measure,
     core_check,
+    find_sup_counterexample,
     insert_chain,
     iter_submasks,
     maximal_chain,
+    members,
     random_monotone_nonsubmodular,
     random_submodular,
     random_supermodular,
@@ -42,9 +53,12 @@ from chaincore import (
     verify_sup_representation,
     verify_uniqueness,
 )
-from chaincore.cli import _unique
-from chaincore.measure import construction_verdict, preconditions_hold
+from chaincore.cli import _route, _unique, load_instance, main
+from chaincore.chains import one_point_steps
+from chaincore.measure import construction_verdicts, preconditions_hold
+from chaincore.setfun import subset_masks
 from conftest import quadratic_capacity
+from test_cli_golden import _bench_sweeps
 
 
 def _primes(count: int) -> list[int]:
@@ -248,13 +262,15 @@ def test_kernel_verdict_matches_the_report():
                                   (False, verify_inf_representation)):
                 holds = preconditions_hold(v, submodular=lower, tol=tol)
                 for a in v.ground.subsets():
-                    for b in iter_submasks(a):
+                    verdicts = construction_verdicts(v, a, lower, tol)
+                    assert len(verdicts) == 1 << a.bit_count()
+                    for local_b, b in enumerate(subset_masks(members(a))):
                         report = verify(v, a, b)
-                        passed, chain = construction_verdict(v, a, b, lower, tol)
+                        passed, chain = verdicts[local_b]
                         where = (name, v.exact, lower, a, b)
                         assert passed == report.construction_passed, where
                         assert (holds and passed) == report.passed, where
-                        assert chain.is_maximal == _unique(report), where
+                        assert one_point_steps(chain) == _unique(report), where
                         seen.add((v.exact, lower, passed))
     assert seen == {(e, low, p) for e in (True, False) for low in (True, False)
                     for p in (True, False)}
@@ -262,8 +278,9 @@ def test_kernel_verdict_matches_the_report():
 
 def _verdict(v: SetFunction, a: int, b: int) -> measure.Verdict:
     """The sup kernel's verdict on (A, B) in exact mode, default base."""
-    base, _ = measure._resolve_base(v, None)
-    return measure._kernel(v, a, b, base, True, 0)
+    _, order = measure._resolve_base(v, None)
+    local_b = subset_masks(members(a)).index(b)
+    return next(measure._kernel(v, a, (local_b,), order, True, 0))
 
 
 def _only(verdict: measure.Verdict, *failing: str) -> bool:
@@ -278,13 +295,14 @@ def _only(verdict: measure.Verdict, *failing: str) -> bool:
     return {k for k, bad in fails.items() if bad} == set(failing)
 
 
-#: check -> (a verdict field and its failing value, the claims that then fail)
+#: check -> (a verdict field and its failing value, the claims that then fail);
+#: masks and points are local to A = {0, 1, 3}: 0b101 is {0, 3}
 ALONE = {
     "chain agreement": ("chain_bad", (0b0010,),
                         {"mu agrees with v on every chain member", "mu(I) = v(I)"}),
     "mass": ("mass_ok", False, {"mu(A) = v(A)"}),
     "negative weight": ("negative_points", (1,), {"all weights nonnegative", "weight >= 0"}),
-    "core violation": ("violations", (0b1001,),
+    "core violation": ("violations", (0b101,),
                        {"mu(E) <= v(E) for all E in A", "mu(E) <= v(E)"}),
     "attainment": ("attained", False, {"mu(B) = v(B)"}),
 }
@@ -309,7 +327,7 @@ def test_kernel_flags_a_negative_weight_alone():
     v = SetFunction(GroundSet(2), tuple(map(Fraction, (0, 2, 1, 1))))
     verdict = _verdict(v, 0b11, 0b01)
     assert verdict.negative_points == (1,) and _only(verdict, "negative_points")
-    assert not construction_verdict(v, 0b11, 0b01, True, 0)[0]
+    assert not construction_verdicts(v, 0b11, True, 0)[0b01][0]
 
 
 def test_kernel_flags_a_core_violation_alone():
@@ -317,25 +335,25 @@ def test_kernel_flags_a_core_violation_alone():
     v = SetFunction(GroundSet(2), tuple(map(Fraction, (0, 0, 0, 1))))
     verdict = _verdict(v, 0b11, 0b01)
     assert verdict.violations == (0b10,) and _only(verdict, "violations")
-    assert not construction_verdict(v, 0b11, 0b01, True, 0)[0]
+    assert not construction_verdicts(v, 0b11, True, 0)[0b01][0]
 
 
 def test_kernel_flags_a_missed_attainment_alone(monkeypatch):
     # a chain that skips B: on strictly submodular v, mu(B) < v(B)
     v = quadratic_capacity(3)
-    monkeypatch.setattr(measure, "insert_chain", lambda base, a, b: base)
+    monkeypatch.setattr(measure, "_inserted_order", lambda order, b: order)
     verdict = _verdict(v, 0b111, 0b010)
     assert _only(verdict, "attained")
-    assert not construction_verdict(v, 0b111, 0b010, True, 0)[0]
+    assert not construction_verdicts(v, 0b111, True, 0)[0b010][0]
 
 
 #: a corruption of the dual verdict -> the consistency claims that then fail
 CORRUPT = {
     "weights": (lambda d: d._replace(weights=(d.weights[0] + 1, *d.weights[1:])),
                 {"dual witness has identical weights"}),
-    "chain": (lambda d: d._replace(chain=Chain(d.chain.carrier, (0, d.chain.carrier))),
+    "chain": (lambda d: d._replace(chain=(0, d.chain[-1])),
               {"dual chain is the complemented chain"}),
-    "violations": (lambda d: d._replace(violations=(d.chain.carrier,)),
+    "violations": (lambda d: d._replace(violations=(d.chain[-1],)),
                    {"core violations correspond under complement",
                     "overall verdicts agree across routes"}),
     "attainment": (lambda d: d._replace(attained=False),
@@ -347,15 +365,142 @@ CORRUPT = {
 def test_a_corrupted_dual_verdict_fails_the_pair(monkeypatch, corruption):
     v = random_supermodular(4, 13)
     a, b = 0b1101, 0b0100
-    assert construction_verdict(v, a, b, False, 0)[0]
+    local_b = 0b010  # point 2 of A = {0, 2, 3}
+    assert construction_verdicts(v, a, False, 0)[local_b][0]
     assert verify_inf_representation(v, a, b).passed
     corrupt, claims = CORRUPT[corruption]
     dual_route = measure._dual_route
 
     def corrupted(*args):
-        w, local_b, order, dual = dual_route(*args)
-        return w, local_b, order, corrupt(dual)
+        w, order, duals = dual_route(*args)
+        return w, order, map(corrupt, duals)
 
     monkeypatch.setattr(measure, "_dual_route", corrupted)
-    assert not construction_verdict(v, a, b, False, 0)[0]
+    assert not construction_verdicts(v, a, False, 0)[local_b][0]
     assert {c.claim for c in verify_inf_representation(v, a, b).failures()} == claims
+
+
+# -- the carrier-batched kernel --------------------------------------------------------
+
+
+def _local(points: tuple[int, ...], mask: int) -> int:
+    """The local mask of a subset of ``points`` (bit i picks ``points[i]``)."""
+    return sum(1 << i for i, p in enumerate(points) if mask >> p & 1)
+
+
+def _assert_carriers_match_the_reports(v: SetFunction, lower: bool, base=None) -> tuple:
+    """Every carrier's batched verdicts against a per-pair ``verify_*`` loop:
+    each verdict equals ``construction_passed`` and each chain is
+    ``insert_chain`` mapped to local masks.  Returns the per-pair loop's
+    (pairs, failures, unique), as a sweep counts them."""
+    verify = verify_sup_representation if lower else verify_inf_representation
+    tol = 0 if v.exact else resolve_eps()
+    holds = preconditions_hold(v, submodular=lower, tol=tol)
+    base_chain = maximal_chain(v.ground, base if base is not None else range(v.ground.n))
+    pairs = failures = 0
+    unique = True
+    for a in v.ground.subsets():
+        points = members(a)
+        verdicts = construction_verdicts(v, a, lower, tol, base)
+        for b in iter_submasks(a):
+            report = verify(v, a, b, base=base)
+            passed, chain = verdicts[_local(points, b)]
+            where = (v.exact, lower, base, a, b)
+            assert passed == report.construction_passed, where
+            inserted = insert_chain(base_chain, a, b).sets
+            assert chain == tuple(_local(points, s) for s in inserted), where
+            pairs += 1
+            failures += not report.passed
+            unique = unique and _unique(report)
+        assert len(verdicts) == 1 << len(points)
+    assert holds or failures == pairs
+    return pairs, failures, unique
+
+
+SMALL = {n: (random_submodular(n, 40 + n), random_supermodular(n, 50 + n), signed_table(n, 60 + n))
+         for n in range(1, 5)}
+
+
+@pytest.mark.parametrize("n", sorted(SMALL))
+def test_batched_kernel_matches_per_pair_reports_under_every_base(n):
+    outcomes = set()
+    for exact_v in SMALL[n]:
+        for v in (exact_v, _as_float(exact_v)):
+            for order in permutations(range(n)):
+                for lower in (True, False):
+                    pairs, failures, _ = _assert_carriers_match_the_reports(v, lower, order)
+                    outcomes.add((v.exact, lower, failures == 0, failures == pairs))
+    # both modes and both routes see all-pass and all-fail instances
+    assert {(e, low, True, False) for e in (True, False) for low in (True, False)} <= outcomes
+    assert {(e, low, False, True) for e in (True, False) for low in (True, False)} <= outcomes
+
+
+def _sweep(directory: Path, obj: dict, exact: bool) -> dict:
+    """The summary ``chaincore sweep`` prints for the one instance ``obj``."""
+    directory.mkdir()
+    (directory / "instance.json").write_text(json.dumps(obj))
+    out = StringIO()
+    with redirect_stdout(out):
+        main([*(() if exact else ("--float",)), "sweep", str(directory)])
+    (summary,) = json.loads(out.getvalue())["instances"]
+    return summary
+
+
+@pytest.mark.parametrize("exact", (True, False), ids=("exact", "float"))
+@pytest.mark.parametrize("name", sorted(_bench_sweeps()))
+def test_sweep_counts_match_a_per_pair_loop(tmp_path, name, exact):
+    """At the benchmark's sizes, on both routes: every batched verdict and
+    chain matches the per-pair report, and the sweep's counts equal the
+    per-pair loop's."""
+    obj = _bench_sweeps()[name]
+    (tmp_path / "in.json").write_text(json.dumps(obj))
+    v = load_instance(str(tmp_path / "in.json"), exact=exact)
+    lower = _route(v) is verify_sup_representation
+    pairs, failures, unique = _assert_carriers_match_the_reports(v, lower)
+    summary = _sweep(tmp_path / "sweep", obj, exact)
+    assert (summary["pairs"], summary["failures"], summary["unique"]) == (pairs, failures, unique)
+    assert summary["route"] == ("sup" if lower else "inf")
+
+
+def test_float_chain_and_attainment_use_the_tolerance():
+    """A float instance whose telescoped measure misses v by 1e-5 on every
+    chain member (v(empty) = 1e-5): more than the default eps, less than
+    1e-3.  Chain agreement and attainment fail at the default eps and hold
+    at eps = 1e-4, so neither compare may use a slack other than the
+    tolerance in effect."""
+    exact_v = random_submodular(4, 21)
+    v = SetFunction(exact_v.ground, tuple(float(x) + 1e-5 for x in exact_v.table))
+    a, b = 0b1101, 0b0100
+    _, order = measure._resolve_base(v, None)
+    local_b = _local(members(a), b)
+    for eps, misses in ((resolve_eps(), True), (1e-4, False)):
+        verdict = next(measure._kernel(v, a, (local_b,), order, True, eps))
+        assert verdict.attained is not misses
+        assert verdict.chain_bad == (verdict.chain if misses else ())
+        report = verify_sup_representation(v, a, b, eps=eps)
+        failed = {c.claim for c in report.failures()}
+        assert ("mu(B) = v(B)" in failed) is misses
+        assert ("mu agrees with v on every chain member" in failed) is misses
+
+
+def _first_failing_pair(v: SetFunction, base=None) -> tuple[int, int] | None:
+    """The reference: ``a`` ascending, ``b`` by ``iter_submasks``, one
+    report per pair."""
+    for a in v.ground.subsets():
+        for b in iter_submasks(a):
+            if not verify_sup_representation(v, a, b, base=base).construction_passed:
+                return a, b
+    return None
+
+
+def test_counterexample_is_the_first_failing_pair():
+    rng = Random(77)
+    found = 0
+    for seed in range(50):
+        n = rng.randint(2, 5)
+        v = random_monotone_nonsubmodular(n, 700 + seed)
+        base = None if seed % 2 else tuple(reversed(range(n)))
+        expected = _first_failing_pair(v, base)
+        assert find_sup_counterexample(v, base) == expected, seed
+        found += expected is not None
+    assert found == 50
