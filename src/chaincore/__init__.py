@@ -26,12 +26,10 @@ from .scalar import (
 from .setfun import GroundSet, SetFunction, dual_transform, iter_submasks, members
 from .chains import (
     Chain,
-    ChainIntervalUnion,
     chain_from_order,
     chain_generates,
     generated_algebra,
     insert_chain,
-    interval_union_normalize,
     maximal_chain,
 )
 from .measure import (
@@ -86,7 +84,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AtomicMeasure",
     "Chain",
-    "ChainIntervalUnion",
     "Claim",
     "CoreCheck",
     "DEFAULT_EPS",
@@ -121,7 +118,6 @@ __all__ = [
     "insert_chain",
     "integrate",
     "interval_discretization",
-    "interval_union_normalize",
     "iter_submasks",
     "level_set_chain",
     "maximal_chain",

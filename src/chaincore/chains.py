@@ -8,9 +8,8 @@ telescoped measure of a set function along the chain well defined per
 point.
 
 Includes the insertion construction (force a subset B to be a member of
-a chain on A), the generated-algebra closure used as an oracle for the
-maximality shortcut, and the canonical representation of algebra members
-as disjoint unions of chain intervals C minus D.
+a chain on A) and the generated-algebra closure used as an oracle for the
+maximality shortcut.
 """
 
 from __future__ import annotations
@@ -81,10 +80,6 @@ class Chain:
             if not seen or cut != seen[-1]:
                 seen.append(cut)
         return Chain(carrier, tuple(seen))
-
-    def complement(self) -> "Chain":
-        """Complements within the carrier, reversed back into a chain."""
-        return Chain(self.carrier, tuple(self.carrier ^ s for s in reversed(self.sets)))
 
     def refined(self) -> "Chain":
         """Maximal completion: multi-point steps are split one point at a
@@ -177,81 +172,3 @@ def chain_generates(chain: Chain, method: str = "maximal") -> bool:
     if method == "closure":
         return len(generated_algebra(chain.sets, chain.carrier)) == 1 << chain.carrier.bit_count()
     raise ValueError(f"unknown method {method!r}")
-
-
-@dataclass(frozen=True)
-class ChainIntervalUnion:
-    """Disjoint union of chain intervals in canonical nested form.
-
-    ``pairs`` lists (C_i, D_i) with C_1 > D_1 > C_2 > ... > D_k strictly
-    decreasing under inclusion; the represented set is the union of the
-    differences C_i minus D_i.  An empty pair list represents the empty set.
-    """
-
-    carrier: int
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", tuple((c, d) for c, d in self.pairs))
-        prev: int | None = None
-        for c, d in self.pairs:
-            if c & ~self.carrier:
-                raise ValueError("interval endpoint outside carrier")
-            if d & ~c or d == c:
-                raise ValueError("each interval needs D strictly inside C")
-            if prev is not None and (c & ~prev or c == prev):
-                raise ValueError("intervals must be strictly nested")
-            prev = d
-
-    def as_mask(self) -> int:
-        mask = 0
-        for c, d in self.pairs:
-            mask |= c & ~d
-        return mask
-
-
-def interval_union_normalize(
-    chain: Chain,
-    sets: Sequence[int] = (),
-    intervals: Sequence[tuple[int, int]] = (),
-    complement_within: int | None = None,
-) -> ChainIntervalUnion:
-    """Canonical chain-interval form of a union/complement expression.
-
-    The expression is the union of the given chain members and interval
-    differences; when ``complement_within`` is given (the carrier or any
-    chain member), the result is its complement within that set.  All
-    inputs must be members of ``chain``.
-    """
-    chain_sets = set(chain.sets)
-
-    def _member(m: int) -> int:
-        if m not in chain_sets:
-            raise ValueError(f"subset {m} is not a member of the chain")
-        return m
-
-    mask = 0
-    for s in sets:
-        mask |= _member(s)
-    for c, d in intervals:
-        _member(c), _member(d)
-        if d & ~c:
-            raise ValueError("interval needs D within C")
-        mask |= c & ~d
-    if complement_within is not None:
-        mask = _member(complement_within) & ~mask
-
-    # Decompose into the chain's elementary gaps, then merge adjacent runs.
-    runs: list[tuple[int, int]] = []  # (top set, bottom set) per maximal run
-    for prev, cur, gap in chain.steps():
-        picked = mask & gap
-        if picked == 0:
-            continue
-        if picked != gap:
-            raise ValueError("expression is not a union of chain intervals")
-        if runs and runs[-1][0] == prev:
-            runs[-1] = (cur, runs[-1][1])
-        else:
-            runs.append((cur, prev))
-    runs.reverse()
-    return ChainIntervalUnion(chain.carrier, tuple(runs))

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .chains import Chain
 from .measure import (
@@ -26,7 +25,7 @@ from .measure import (
     chain_measure,
     sample_core,
 )
-from .scalar import Scalar, is_finite, parse_scalar, format_scalar, scalar_eq, scalar_le, tolerance
+from .scalar import Scalar, is_finite, format_scalar, scalar_eq, scalar_le, tolerance
 from .setfun import GroundSet, SetFunction
 
 
@@ -47,10 +46,6 @@ class PointFunction:
             raise ValueError("values mix exact and float scalars")
         if not all(is_finite(x) for x in self.values):
             raise ValueError("values must be finite")
-
-    @classmethod
-    def parse(cls, ground: GroundSet, raw: Sequence[object], exact: bool = True) -> "PointFunction":
-        return cls(ground, tuple(parse_scalar(x, exact) for x in raw))
 
     @classmethod
     def indicator(cls, ground: GroundSet, mask: int, exact: bool = True) -> "PointFunction":

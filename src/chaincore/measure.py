@@ -136,7 +136,7 @@ def weights_from_chain_values(chain: Chain, values: Mapping[int, Scalar]) -> Ato
         raise ValueError("chain is not maximal: atoms are not pinned")
     try:
         weights = _telescope(values, chain)
-    except KeyError:
+    except (KeyError, IndexError):
         raise ValueError("values must cover every chain member") from None
     return AtomicMeasure(chain.carrier, members(chain.carrier), weights)
 
@@ -203,6 +203,7 @@ def core_check(
     Lower core: mu(A) = v(A), mu(E) <= v(E) for every E inside A, and all
     weights nonnegative.  Upper core mirrors the inequality.
     """
+    v.ground.check_subset(mu.carrier)
     scan = _core_scanner(lower, tolerance(mu.exact and v.exact, eps))
     masks = subset_masks(mu.points)
     sums = subset_sums(mu.weights)
@@ -294,16 +295,17 @@ class VerificationReport:
         return out
 
 
-def _resolve_base(v: SetFunction, base: Chain | Sequence[int] | None) -> tuple[Chain, tuple]:
-    """The maximal base chain on v's ground set and its point order; the default is memoised."""
+def _resolve_base(v: SetFunction, base: Chain | Sequence[int] | None) -> tuple[int, ...]:
+    """The point order of the base chain, which must be maximal on v's
+    ground set: given as that chain, as a permutation, or as None for the
+    identity."""
     if base is None:
-        return v._cached(("base chain",), lambda: _resolve_base(v, range(v.ground.n)))
-    if isinstance(base, Chain):
-        if base.carrier != v.ground.full or not base.is_maximal:
-            raise ValueError("base chain must be maximal on the full ground set")
-        return base, base.point_order()
-    order = tuple(base)
-    return maximal_chain(v.ground, order), order
+        return tuple(range(v.ground.n))
+    if not isinstance(base, Chain):
+        base = maximal_chain(v.ground, base)
+    if base.carrier != v.ground.full or not base.is_maximal:
+        raise ValueError("base chain must be maximal on the full ground set")
+    return base.point_order()
 
 
 def _precondition_claims(v: SetFunction, submodular: bool, tol: Scalar) -> list[Claim]:
@@ -447,61 +449,6 @@ def _report(
     )
 
 
-def _direct_route(
-    v: SetFunction,
-    a: int,
-    b: int,
-    base: Chain | Sequence[int] | None,
-    lower: bool,
-    tol: Scalar,
-) -> tuple[VerificationReport, tuple[int, ...], int, Verdict]:
-    """The kernel's verdict on (A, B) and the construction-only report
-    built from it, with the base chain's point order and B's local mask."""
-    v.ground.check_subset(a)
-    if b & ~a:
-        raise ValueError("b must lie within a")
-    _, base_order = _resolve_base(v, base)
-    local_b = _carrier(v, a)[1].index(b)
-    verdict = next(_kernel(v, a, (local_b,), base_order, lower, tol))
-    return _report(v, a, b, base_order, verdict, lower), base_order, local_b, verdict
-
-
-def verify_sup_representation(
-    v: SetFunction,
-    a: int,
-    b: int,
-    base: Chain | Sequence[int] | None = None,
-    eps: float | None = None,
-) -> VerificationReport:
-    """Check that the chain measure on the insertion of B into A witnesses
-    v(B) as the attained supremum of the lower core of v on A.
-
-    Claims: v's structural preconditions; mu = v on every member of the
-    inserted chain; lower-core membership exhaustively over all subsets of
-    A; and mu(B) = v(B).  Every core element is dominated by v on B by
-    definition, so the attainment claim closes the supremum argument.
-    Precondition failures are reported, never raised, so the same routine
-    doubles as the counterexample probe for non-submodular input.
-    """
-    tol = tolerance(v.exact, eps)
-    report, *_ = _direct_route(v, a, b, base, lower=True, tol=tol)
-    report.claims[:0] = _precondition_claims(v, submodular=True, tol=tol)
-    return report
-
-
-def verify_uniqueness(
-    v: SetFunction,
-    a: int,
-    b: int,
-    base: Chain | Sequence[int] | None = None,
-) -> bool:
-    """Whether the measure agreeing with v on every member of the
-    insertion of B into A is unique: it is exactly when the inserted chain
-    generates the power set of A, so that consecutive members differ by
-    one point and pin each atom to the increment of v across that step."""
-    return chain_generates(insert_chain(_resolve_base(v, base)[0], a, b))
-
-
 def _restricted_dual(v: SetFunction, a: int) -> tuple[SetFunction, tuple[int, ...]]:
     """The complement dual of v restricted to A and the map from local point
     index to point; memoised on v per A, since they do not depend on B."""
@@ -529,19 +476,28 @@ def _dual_route(
     return w, dual_order, _kernel(w, full, (full ^ b for b in bs), dual_order, True, tol)
 
 
-_Agreement = tuple[bool, bool, int, bool, bool]
+class Agreement(NamedTuple):
+    """The five consistency checks of a direct verdict on (A, B) against
+    the dual verdict on the complement of B, each as pass/fail."""
+
+    weights: bool  # the dual witness has identical weights
+    chain: bool  # the dual chain is the complemented chain
+    violations: bool  # the core violations correspond under complement
+    attained: bool  # attainment agrees across routes
+    verdicts: bool  # the overall verdicts agree across routes
+    unmatched: int  # core violations with no complemented counterpart
+
+    @property
+    def passed(self) -> bool:
+        return self.weights and self.chain and self.violations and self.attained and self.verdicts
 
 
 def _consistency(
     v: SetFunction, w: SetFunction, tol: Scalar
-) -> Callable[[Verdict, Verdict], _Agreement]:
-    """The comparison of a direct verdict on (A, B) with the dual verdict
-    on the complement of B, set up once per carrier: ``agree(direct,
-    dual)`` gives whether the weights are identical, whether the dual
-    chain is the complemented chain, how many core violations have no
-    complemented counterpart, whether attainment agrees and whether the
-    overall verdicts agree.  Both verdicts are in A's local coordinates,
-    so a local mask corresponds to its complement in w's full set.  Exact
+) -> Callable[[Verdict, Verdict], Agreement]:
+    """The comparison of a direct verdict with its dual verdict, set up
+    once per carrier.  Both verdicts are in A's local coordinates, so a
+    local mask corresponds to its complement in w's full set.  Exact
     weights are compared across the two tables' scales, ``x * L_w == y * L_v``."""
     full = w.ground.full
     if v.exact:
@@ -552,15 +508,86 @@ def _consistency(
     else:
         same = partial(scalar_eq, eps=tol)
 
-    def agree(direct: Verdict, dual: Verdict) -> _Agreement:
-        unmatched = {full ^ m for m in direct.violations} ^ set(dual.violations)
-        return (all(map(same, direct.weights, dual.weights)),
-                dual.chain == tuple(full ^ s for s in reversed(direct.chain)),
-                len(unmatched),
-                direct.attained == dual.attained,
-                direct.passed == dual.passed)
+    def agree(direct: Verdict, dual: Verdict) -> Agreement:
+        # most pairs have no violations on either side: no sets to build
+        unmatched = (len({full ^ m for m in direct.violations} ^ set(dual.violations))
+                     if direct.violations or dual.violations else 0)
+        return Agreement(all(map(same, direct.weights, dual.weights)),
+                         dual.chain == tuple([full ^ s for s in reversed(direct.chain)]),
+                         not unmatched,
+                         direct.attained == dual.attained,
+                         direct.passed == dual.passed,
+                         unmatched)
 
     return agree
+
+
+def _verify(
+    v: SetFunction,
+    a: int,
+    b: int,
+    base: Chain | Sequence[int] | None,
+    eps: float | None,
+    lower: bool,
+) -> VerificationReport:
+    """The report of :func:`verify_sup_representation` (``lower``) or
+    :func:`verify_inf_representation`: v's preconditions, the kernel's
+    verdict on (A, B) and, on the inf check, the dual route's verdict and
+    the consistency claims comparing the two."""
+    tol = tolerance(v.exact, eps)
+    v.ground.check_subset(a)
+    if b & ~a:
+        raise ValueError("b must lie within a")
+    base_order = _resolve_base(v, base)
+    local_b = _carrier(v, a)[1].index(b)
+    direct = next(_kernel(v, a, (local_b,), base_order, lower, tol))
+    report = _report(v, a, b, base_order, direct, lower)
+    report.claims[:0] = _precondition_claims(v, submodular=lower, tol=tol)
+    if lower:
+        return report
+    if a == 0:
+        report.claims.append(
+            Claim("dual route skipped (empty carrier)", "consistency", (0,), None, None, True)
+        )
+        return report
+
+    w, dual_order, duals = _dual_route(v, a, (local_b,), base_order, tol)
+    dual = next(duals)
+    report.dual = _report(w, w.ground.full, w.ground.full ^ local_b, dual_order, dual, lower=True)
+    agreement = _consistency(v, w, tol)(direct, dual)
+    report.claims += [
+        Claim("dual witness has identical weights", "consistency", (a, b), None, None,
+              agreement.weights),
+        Claim("dual chain is the complemented chain", "consistency", (a, b), None, None,
+              agreement.chain),
+        Claim("core violations correspond under complement", "consistency", (a, b),
+              agreement.unmatched, 0, agreement.violations),
+        Claim("attainment agrees across routes", "consistency", (b,),
+              direct.attained, dual.attained, agreement.attained),
+        Claim("overall verdicts agree across routes", "consistency", (a, b), None, None,
+              agreement.verdicts),
+    ]
+    return report
+
+
+def verify_sup_representation(
+    v: SetFunction,
+    a: int,
+    b: int,
+    base: Chain | Sequence[int] | None = None,
+    eps: float | None = None,
+) -> VerificationReport:
+    """Check that the chain measure on the insertion of B into A witnesses
+    v(B) as the attained supremum of the lower core of v on A.
+
+    Claims: v's structural preconditions; mu = v on every member of the
+    inserted chain; lower-core membership exhaustively over all subsets of
+    A; and mu(B) = v(B).  Every core element is dominated by v on B by
+    definition, so the attainment claim closes the supremum argument.
+    Precondition failures are reported, never raised, so the same routine
+    doubles as the counterexample probe for non-submodular input.
+    """
+    return _verify(v, a, b, base, eps, lower=True)
 
 
 def verify_inf_representation(
@@ -581,34 +608,21 @@ def verify_inf_representation(
     for claim under the complement correspondence; the agreement is itself
     recorded as consistency claims.
     """
-    tol = tolerance(v.exact, eps)
-    report, base_order, local_b, direct = _direct_route(v, a, b, base, lower=False, tol=tol)
-    report.claims[:0] = _precondition_claims(v, submodular=False, tol=tol)
+    return _verify(v, a, b, base, eps, lower=False)
 
-    if a == 0:
-        report.claims.append(
-            Claim("dual route skipped (empty carrier)", "consistency", (0,), None, None, True)
-        )
-        return report
 
-    w, dual_order, duals = _dual_route(v, a, (local_b,), base_order, tol)
-    dual = next(duals)
-    report.dual = _report(w, w.ground.full, w.ground.full ^ local_b, dual_order, dual, lower=True)
-    weights_match, chains_match, unmatched, attained_match, verdicts_match = _consistency(
-        v, w, tol)(direct, dual)
-    report.claims += [
-        Claim("dual witness has identical weights", "consistency", (a, b), None, None,
-              weights_match),
-        Claim("dual chain is the complemented chain", "consistency", (a, b), None, None,
-              chains_match),
-        Claim("core violations correspond under complement", "consistency", (a, b),
-              unmatched, 0, not unmatched),
-        Claim("attainment agrees across routes", "consistency", (b,),
-              direct.attained, dual.attained, attained_match),
-        Claim("overall verdicts agree across routes", "consistency", (a, b), None, None,
-              verdicts_match),
-    ]
-    return report
+def verify_uniqueness(
+    v: SetFunction,
+    a: int,
+    b: int,
+    base: Chain | Sequence[int] | None = None,
+) -> bool:
+    """Whether the measure agreeing with v on every member of the
+    insertion of B into A is unique: it is exactly when the inserted chain
+    generates the power set of A, so that consecutive members differ by
+    one point and pin each atom to the increment of v across that step."""
+    base_chain = maximal_chain(v.ground, _resolve_base(v, base))
+    return chain_generates(insert_chain(base_chain, a, b))
 
 
 def preconditions_hold(v: SetFunction, submodular: bool, tol: Scalar) -> bool:
@@ -630,19 +644,14 @@ def construction_verdicts(
     building a report.  One kernel call checks every B; on the inf check
     the dual route runs its own kernel once for the carrier, as in the
     report, and each B is compared with its complement's dual verdict."""
-    _, base_order = _resolve_base(v, base)
+    base_order = _resolve_base(v, base)
     bs = range(1 << a.bit_count())
     direct = _kernel(v, a, bs, base_order, lower, tol)
     if lower or a == 0:
         return [(d.passed, d.chain) for d in direct]
     w, _, duals = _dual_route(v, a, bs, base_order, tol)
     agree = _consistency(v, w, tol)
-    out = []
-    for d, e in zip(direct, duals):
-        weights_match, chains_match, unmatched, attained_match, verdicts_match = agree(d, e)
-        out.append((d.passed and weights_match and chains_match and not unmatched
-                    and attained_match and verdicts_match, d.chain))
-    return out
+    return [(d.passed and agree(d, e).passed, d.chain) for d, e in zip(direct, duals)]
 
 
 def sample_core(
@@ -675,11 +684,11 @@ def find_sup_counterexample(
     monotone grounded input this always finds a witness pair.
     """
     tol = tolerance(v.exact, eps)
-    base_chain, _ = _resolve_base(v, base)
+    base_order = _resolve_base(v, base)
     for a in v.ground.subsets():
-        verdicts = construction_verdicts(v, a, True, tol, base_chain)
         # descending local masks: the order of iter_submasks(a)
-        for b in reversed(range(len(verdicts))):
-            if not verdicts[b][0]:
+        bs = range((1 << a.bit_count()) - 1, -1, -1)
+        for b, verdict in zip(bs, _kernel(v, a, bs, base_order, True, tol)):
+            if not verdict.passed:
                 return a, _carrier(v, a)[1][b]
     return None

@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 
 from chaincore import (
     Chain,
-    ChainIntervalUnion,
     GroundSet,
     SetFunction,
     chain_from_order,
     chain_generates,
     generated_algebra,
     insert_chain,
-    interval_union_normalize,
     iter_submasks,
     maximal_chain,
     verify_uniqueness,
@@ -185,77 +183,9 @@ def test_restrict_and_complement():
     base = maximal_chain(GroundSet(4), (0, 1, 2, 3))
     r = base.restrict(0b1010)
     assert r.sets == (0, 0b0010, 0b1010)
-    c = base.complement()
-    assert c.sets == (0, 0b1000, 0b1100, 0b1110, 0b1111)
-    assert c.complement().sets == base.sets
 
 
 def test_refined_completes_ties():
     chain = Chain(0b111, (0, 0b101, 0b111))
     assert chain.refined().sets == (0, 0b001, 0b101, 0b111)
     assert chain.refined().is_maximal
-
-
-# -- chain interval unions -----------------------------------------------------
-
-
-@pytest.fixture
-def chain4():
-    return Chain(0b1011, (0, 0b0010, 0b1010, 0b1011))
-
-
-def test_interval_union_complement_of_member(chain4):
-    out = interval_union_normalize(chain4, sets=[0b0010], complement_within=0b1011)
-    assert out.pairs == ((0b1011, 0b0010),)
-    assert out.as_mask() == 0b1001
-
-
-def test_interval_union_already_disjoint(chain4):
-    out = interval_union_normalize(
-        chain4, intervals=[(0b0010, 0), (0b1011, 0b1010)]
-    )
-    assert out.pairs == ((0b1011, 0b1010), (0b0010, 0))
-
-
-def test_interval_union_whole_carrier(chain4):
-    assert interval_union_normalize(chain4, sets=[0b1011]).pairs == ((0b1011, 0),)
-
-
-def test_interval_union_empty(chain4):
-    out = interval_union_normalize(chain4, sets=[0b1011], complement_within=0b1011)
-    assert out.pairs == ()
-    assert out.as_mask() == 0
-
-
-def test_interval_union_rejects_non_members(chain4):
-    with pytest.raises(ValueError):
-        interval_union_normalize(chain4, sets=[0b0001])
-    with pytest.raises(ValueError):
-        interval_union_normalize(chain4, complement_within=0b0100)
-
-
-def test_interval_union_nesting_validation():
-    with pytest.raises(ValueError):
-        ChainIntervalUnion(0b111, ((0b011, 0b011),))  # empty interval
-    with pytest.raises(ValueError):
-        ChainIntervalUnion(0b111, ((0b011, 0b001), (0b111, 0b100)))  # not nested
-
-
-def test_interval_union_idempotent_and_matches_naive():
-    rng = Random(11)
-    g = GroundSet(6)
-    for _ in range(60):
-        order = list(range(6))
-        rng.shuffle(order)
-        chain = maximal_chain(g, order)
-        picks = rng.sample(chain.sets, k=rng.randint(0, 3))
-        within = rng.choice(chain.sets) if rng.random() < 0.5 else None
-        naive = 0
-        for s in picks:
-            naive |= s
-        if within is not None:
-            naive = within & ~naive
-        out = interval_union_normalize(chain, sets=picks, complement_within=within)
-        assert out.as_mask() == naive
-        again = interval_union_normalize(chain, intervals=out.pairs)
-        assert again.pairs == out.pairs

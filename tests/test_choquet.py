@@ -3,10 +3,13 @@ from itertools import permutations
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaincore import (
     GroundSet,
     PointFunction,
+    SetFunction,
     brute_force_sup,
     chain_measure,
     choquet_integral,
@@ -151,6 +154,35 @@ def test_pointwise_monotonicity():
             tuple(x + Fraction(rng.randint(0, 5), 2) for x in f.values),
         )
         assert choquet_integral(v, f) <= choquet_integral(v, g)
+
+
+@st.composite
+def comonotone_pairs(draw) -> tuple[SetFunction, PointFunction, PointFunction]:
+    """An arbitrary exact table on 1 to 5 points, grounded or not, and two
+    point functions that are both non-increasing along one drawn
+    permutation (ties included)."""
+    n = draw(st.integers(1, 5))
+    values = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    v = SetFunction(GroundSet(n), tuple(draw(st.lists(values, min_size=1 << n, max_size=1 << n))))
+    order = draw(st.permutations(range(n)))
+
+    def along_order() -> PointFunction:
+        by_point = [Fraction(0)] * n
+        for p, x in zip(order, sorted(draw(st.lists(values, min_size=n, max_size=n)), reverse=True)):
+            by_point[p] = x
+        return PointFunction(v.ground, tuple(by_point))
+
+    return v, along_order(), along_order()
+
+
+@settings(max_examples=80, deadline=None)
+@given(drawn=comonotone_pairs())
+def test_comonotone_additivity_property(drawn):
+    """v(f + g) = v(f) + v(g) for comonotone f and g (Schmeidler 1986):
+    the closed form is linear in f along a fixed order, for any table."""
+    v, f, g = drawn
+    both = PointFunction(v.ground, tuple(x + y for x, y in zip(f.values, g.values)))
+    assert choquet_integral(v, both) == choquet_integral(v, f) + choquet_integral(v, g)
 
 
 def test_sampled_core_measures_dominated():

@@ -112,6 +112,14 @@ def test_core_explicit_subset_chain(instance, capsys):
     assert "inclusion" in err
 
 
+def test_core_coarse_chain_is_input_error(instance, capsys):
+    # a valid chain, but its step 0 -> 3 adds two points
+    code, out, err = run(capsys, "core", instance(RUNNING), "--B", "3", "--chain", "0;3;7")
+    assert code == 2
+    assert out == ""
+    assert "maximal" in err
+
+
 def test_core_b_outside_a(instance, capsys):
     code, _, err = run(capsys, "core", instance(RUNNING), "--A", "1", "--B", "2")
     assert code == 2

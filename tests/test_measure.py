@@ -13,6 +13,7 @@ from chaincore import (
     PointFunction,
     SetFunction,
     chain_measure,
+    core_check,
     find_sup_counterexample,
     in_lower_core,
     in_upper_core,
@@ -109,6 +110,15 @@ def test_core_of_additive_is_equality():
     v = additive_capacity([Fraction(1, 2), Fraction(1, 2)])
     mu = chain_measure(v, maximal_chain(v.ground, (0, 1)))
     assert in_lower_core(mu, v) and in_upper_core(mu, v)
+
+
+def test_core_rejects_a_carrier_outside_the_ground_set(v3):
+    """A measure on a point v does not have is an input error, not a
+    lookup past the end of v's table."""
+    mu = AtomicMeasure(0b1001, (0, 3), (Fraction(1), Fraction(1)))
+    for check in (core_check, in_lower_core, in_upper_core):
+        with pytest.raises(ValueError, match="outside ground set"):
+            check(mu, v3)
 
 
 def test_core_carrier_mismatch():
@@ -239,9 +249,42 @@ def test_weights_from_chain_values_rejects_gaps(v3):
     values = {s: v3.table[s] for s in chain.sets}
     rebuilt = weights_from_chain_values(chain, values)
     assert rebuilt.weights == chain_measure(v3, chain).weights
+    assert weights_from_chain_values(chain, v3.table).weights == rebuilt.weights
     del values[0b011]
-    with pytest.raises(ValueError):
-        weights_from_chain_values(chain, values)
+    # a mapping without a member, and a table indexed by mask that stops short
+    for gappy in (values, v3.table[:0b111]):
+        with pytest.raises(ValueError, match="cover every chain member"):
+            weights_from_chain_values(chain, gappy)
+
+
+# -- the base chain ----------------------------------------------------------------
+
+
+_BASE_CHECKS = {
+    "sup": lambda v, base: verify_sup_representation(v, 0b1101, 0b0100, base=base).to_json_dict(),
+    "inf": lambda v, base: verify_inf_representation(v, 0b1101, 0b0100, base=base).to_json_dict(),
+    "uniqueness": lambda v, base: verify_uniqueness(v, 0b1101, 0b0100, base=base),
+    "counterexample": lambda v, base: find_sup_counterexample(v, base=base),
+}
+
+
+@pytest.mark.parametrize("check", sorted(_BASE_CHECKS))
+def test_base_given_as_none_permutation_or_chain(check):
+    """None is the identity permutation, and a permutation is the same
+    base as its maximal chain; a coarse chain, a chain on fewer points or
+    a non-permutation is a ValueError."""
+    run = _BASE_CHECKS[check]
+    v = random_supermodular(4, 71) if check == "inf" else random_monotone_nonsubmodular(4, 74)
+    results = {}
+    for order in ((0, 1, 2, 3), (2, 0, 3, 1)):
+        results[order] = run(v, order)
+        assert run(v, maximal_chain(v.ground, order)) == results[order], order
+    assert run(v, None) == results[0, 1, 2, 3]
+    assert check == "uniqueness" or results[0, 1, 2, 3] != results[2, 0, 3, 1]
+    coarse, short = Chain(0b1111, (0, 0b0011, 0b1111)), maximal_chain(GroundSet(3), (0, 1, 2))
+    for bad in (coarse, short, (0, 1, 1, 3), (0, 1, 2)):
+        with pytest.raises(ValueError):
+            run(v, bad)
 
 
 # -- inf attainment and the dual route -------------------------------------------
@@ -359,10 +402,9 @@ def test_counterexample_is_none_for_submodular():
 
 
 def test_measure_of_interval_union_is_telescoped_sum():
-    """mu of a disjoint union of chain intervals equals the sum of
+    """mu of a disjoint union of chain intervals C minus D, over nested
+    chain members C_1 > D_1 > C_2 > ... > D_k, equals the sum of
     v(C) - v(D) over the pairs: the finite-additive mass formula."""
-    from chaincore import interval_union_normalize
-
     rng = Random(2024)
     for seed in range(30):
         n = rng.randint(2, 6)
@@ -371,11 +413,14 @@ def test_measure_of_interval_union_is_telescoped_sum():
         rng.shuffle(order)
         chain = maximal_chain(v.ground, order)
         mu = chain_measure(v, chain)
-        picks = rng.sample(chain.sets, k=rng.randint(0, min(3, len(chain.sets))))
-        within = chain.carrier if rng.random() < 0.5 else None
-        union = interval_union_normalize(chain, sets=picks, complement_within=within)
-        expected = sum((v.table[c] - v.table[d] for c, d in union.pairs), Fraction(0))
-        assert mu(union.as_mask()) == expected
+        # chain members are nested, so descending masks descend under inclusion
+        ends = sorted(rng.sample(chain.sets, 2 * rng.randint(0, len(chain) // 2)), reverse=True)
+        pairs = list(zip(ends[::2], ends[1::2]))
+        union = 0
+        for c, d in pairs:
+            union |= c & ~d
+        expected = sum((v.table[c] - v.table[d] for c, d in pairs), Fraction(0))
+        assert mu(union) == expected
 
 
 def test_float_mode_verification():

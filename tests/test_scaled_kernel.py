@@ -278,7 +278,7 @@ def test_kernel_verdict_matches_the_report():
 
 def _verdict(v: SetFunction, a: int, b: int) -> measure.Verdict:
     """The sup kernel's verdict on (A, B) in exact mode, default base."""
-    _, order = measure._resolve_base(v, None)
+    order = measure._resolve_base(v, None)
     local_b = subset_masks(members(a)).index(b)
     return next(measure._kernel(v, a, (local_b,), order, True, 0))
 
@@ -471,7 +471,7 @@ def test_float_chain_and_attainment_use_the_tolerance():
     exact_v = random_submodular(4, 21)
     v = SetFunction(exact_v.ground, tuple(float(x) + 1e-5 for x in exact_v.table))
     a, b = 0b1101, 0b0100
-    _, order = measure._resolve_base(v, None)
+    order = measure._resolve_base(v, None)
     local_b = _local(members(a), b)
     for eps, misses in ((resolve_eps(), True), (1e-4, False)):
         verdict = next(measure._kernel(v, a, (local_b,), order, True, eps))
