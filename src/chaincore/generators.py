@@ -136,7 +136,7 @@ def distortion_capacity(
     total = sum(weights, 0)
     if not scalar_eq(total, 1):
         raise GeneratorError(f"probability weights must sum to 1, got {total}")
-    ground = GroundSet(len(weights), tuple(labels) if labels else None)
+    ground = GroundSet(len(weights), labels)
     sums = subset_sums(weights)
     g_of = {x: g(x) for x in set(sums)}
     if any(isinstance(w, float) for w in weights):
@@ -162,7 +162,7 @@ def coverage_capacity(
     limit = 1 << len(item_weights)
     if any(not 0 <= c < limit for c in covers):
         raise GeneratorError("cover bitmask outside the item space")
-    ground = GroundSet(len(covers), tuple(labels) if labels else None)
+    ground = GroundSet(len(covers), labels)
     covered = subset_unions(covers)
     weight_of = {c: sum((item_weights[k] for k in members(c)), 0) for c in set(covered)}
     return SetFunction(ground, tuple(map(weight_of.__getitem__, covered)))

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .chains import Chain, chain_from_order, chain_generates, insert_chain, maximal_chain
 from .scalar import Scalar, format_scalar, scalar_eq, scalar_ge, tolerance
-from .setfun import SetFunction, dual_transform, members, subset_masks, subset_sums
+from .setfun import SetFunction, members, subset_masks, subset_sums
 
 
 @dataclass(frozen=True)
@@ -321,7 +321,7 @@ def _precondition_claims(v: SetFunction, submodular: bool, tol: Scalar) -> list[
 class Verdict(NamedTuple):
     """The construction checks of one (A, B) pair in A's local coordinates
     (local index i is A's i-th point, ascending; a local mask picks local
-    indices) and in the units of v's scaled table: what a sweep reads, and
+    indices) and in the carrier's scaled units: what a sweep reads, and
     what a report is built from."""
 
     weights: list  # atoms at A's points, in local index order
@@ -339,18 +339,45 @@ class Verdict(NamedTuple):
                 and not self.negative_points and not self.violations)
 
 
-def _carrier(v: SetFunction, a: int) -> tuple[tuple[int, ...], list[int], list]:
-    """A's points, every subset of A in local-mask order (the global mask
-    at the index of its local mask), and v's scaled values in local-mask
-    order; memoised on v per A, since they do not depend on B."""
+class Carrier(NamedTuple):
+    """A carrier set A in its local coordinates (local index i is A's i-th
+    point, ascending; a local mask picks local indices), with a set
+    function's values on every subset of A in scaled units: what the
+    kernel checks and a report is built from."""
 
-    def compute() -> tuple[tuple[int, ...], list[int], list]:
-        values, _ = v.scaled_table()
+    points: tuple[int, ...]  # the reported point of each local index
+    masks: list[int]  # the reported mask of each local mask
+    values: list  # the scaled values in local-mask order, the carrier last
+    scale: int  # the values are the set function's times this (1 in float mode)
+    exact: bool
+
+
+def _carrier(v: SetFunction, a: int) -> Carrier:
+    """A's points, every subset of A in local-mask order (the global mask
+    at the index of its local mask), and v's scaled values
+    (:meth:`SetFunction.scaled_table`) in local-mask order; memoised on v
+    per A, since they do not depend on B."""
+
+    def compute() -> Carrier:
+        values, scale = v.scaled_table()
         points = members(a)
         masks = subset_masks(points)
-        return points, masks, [values[m] for m in masks]
+        return Carrier(points, masks, [values[m] for m in masks], scale, v.exact)
 
     return v._cached(("carrier", a), compute)
+
+
+def _dual(c: Carrier) -> Carrier:
+    """The complement dual of the carrier's values on its own local
+    coordinates, ``w[E] = v[A] - v[A ^ E] + v[empty]`` in the same units:
+    :func:`~chaincore.setfun.dual_transform` of v restricted to A, times
+    the carrier's scale.  Its preconditions are equivalent to v's, so the
+    dual route checks only the construction on it."""
+    values = c.values
+    full = len(values) - 1
+    top, bottom = values[full], values[0]
+    return Carrier(tuple(range(len(c.points))), list(range(full + 1)),
+                   [top - values[full ^ m] + bottom for m in range(full + 1)], c.scale, c.exact)
 
 
 def _local_order(points: Sequence[int], base_order: Sequence[int]) -> list[int]:
@@ -367,18 +394,18 @@ def _inserted_order(order: list[int], b: int) -> list[int]:
 
 
 def _kernel(
-    v: SetFunction, a: int, bs: Iterable[int], base_order: Sequence[int], lower: bool, tol: Scalar
+    c: Carrier, bs: Iterable[int], base_order: Sequence[int], lower: bool, tol: Scalar
 ) -> Iterator[Verdict]:
     """The verdict of each B in ``bs``, given as a local mask of A, in turn.
 
-    For each B, telescope v along the insertion of B into A and check the
-    construction on v's scaled table (:meth:`SetFunction.scaled_table`):
-    chain agreement, lower (or upper) core membership exhaustively over all
-    subsets of A, and attainment at B, with ``tol`` as the slack (0 in
-    exact mode).  A's points and values, the base order cut to A and the
-    core compare are set up once per call; everything runs in A's local
-    coordinates, and no Fraction and no report is built."""
-    points, _, vloc = _carrier(v, a)
+    For each B, telescope the carrier's values along the insertion of B
+    into A and check the construction on them: chain agreement, lower (or
+    upper) core membership exhaustively over all subsets of A, and
+    attainment at B, with ``tol`` as the slack (0 in exact mode).  The
+    base order cut to A and the core compare are set up once per call;
+    everything runs in A's local coordinates, and no Fraction and no
+    report is built."""
+    points, vloc = c.points, c.values
     order = [1 << i for i in _local_order(points, base_order)]
     scan = _core_scanner(lower, tol)
     for b in bs:
@@ -399,25 +426,25 @@ def _kernel(
 
 
 def _report(
-    v: SetFunction, a: int, b: int, base_order: tuple, verdict: Verdict, lower: bool
+    c: Carrier, b: int, base_order: Sequence[int], verdict: Verdict, lower: bool
 ) -> VerificationReport:
-    """The construction-only report of one pair, assembled from its
-    verdict; masks go back to v's ground set, and values to v's units, as
-    Fractions, only here."""
-    _, scale = v.scaled_table()
-    unscale = (lambda x: Fraction(x, scale)) if v.exact else (lambda x: x)
-    points, masks, _ = _carrier(v, a)
-    sums = verdict.sums
+    """The construction-only report of the pair (A, B), B a local mask of
+    the carrier A, assembled from its verdict; masks go back to the
+    carrier's reported masks, and values to the set function's units, as
+    Fractions in exact mode, only here."""
+    points, masks, values = c.points, c.masks, c.values
+    unscale = (lambda x: Fraction(x, c.scale)) if c.exact else (lambda x: x)
+    a, sums = masks[-1], verdict.sums
 
     def claim(name: str, category: str, local: int, passed: bool) -> Claim:
         """mu against v on the subset with local mask ``local``."""
-        m = masks[local]
-        return Claim(name, category, (m,), unscale(sums[local]), v.table[m], passed)
+        return Claim(name, category, (masks[local],), unscale(sums[local]),
+                     unscale(values[local]), passed)
 
     mu = AtomicMeasure(a, points, tuple(map(unscale, verdict.weights)))
     claims = [
         Claim("mu agrees with v on every chain member", "chain",
-              (a, b), len(verdict.chain_bad), 0, not verdict.chain_bad)
+              (a, masks[b]), len(verdict.chain_bad), 0, not verdict.chain_bad)
     ]
     claims.extend(claim("mu(I) = v(I)", "chain", s, False) for s in verdict.chain_bad)
     claims.append(claim("mu(A) = v(A)", "core", len(masks) - 1, verdict.mass_ok))
@@ -432,13 +459,13 @@ def _report(
               len(verdict.violations), 0, not verdict.violations)
     )
     claims.extend(claim(f"mu(E) {rel} v(E)", "core", m, False) for m in verdict.violations)
-    claims.append(claim("mu(B) = v(B)", "attainment", masks.index(b), verdict.attained))
+    claims.append(claim("mu(B) = v(B)", "attainment", b, verdict.attained))
 
     return VerificationReport(
         kind="sup-attainment" if lower else "inf-attainment",
         context={
             "A": a,
-            "B": b,
+            "B": masks[b],
             "base_order": list(base_order),
             "chain": [masks[s] for s in verdict.chain],
             "core_violations": [masks[m] for m in verdict.violations],
@@ -447,33 +474,6 @@ def _report(
         witness=mu,
         claims=claims,
     )
-
-
-def _restricted_dual(v: SetFunction, a: int) -> tuple[SetFunction, tuple[int, ...]]:
-    """The complement dual of v restricted to A and the map from local point
-    index to point; memoised on v per A, since they do not depend on B."""
-
-    def compute() -> tuple[SetFunction, tuple[int, ...]]:
-        restricted, pts = v.restrict(a)
-        return dual_transform(restricted), pts
-
-    return v._cached(("restricted dual", a), compute)
-
-
-def _dual_route(
-    v: SetFunction, a: int, bs: Iterable[int], base_order: tuple, tol: Scalar
-) -> tuple[SetFunction, list[int], Iterator[Verdict]]:
-    """The sup construction for the complement of each B in A on w, the
-    complement dual of v restricted to A, under the reversed base: its own
-    kernel run on w's own table, reading nothing of the direct route.  w's
-    ground set is A's local coordinates, so B (a local mask of A) pairs
-    with its complement ``full ^ B``.  The dual's preconditions are
-    equivalent to v's, so only the construction is checked.  Returns w,
-    the dual base order and the verdict of each B in turn."""
-    w, points = _restricted_dual(v, a)
-    full = w.ground.full
-    dual_order = _local_order(points, base_order)[::-1]
-    return w, dual_order, _kernel(w, full, (full ^ b for b in bs), dual_order, True, tol)
 
 
 class Agreement(NamedTuple):
@@ -492,34 +492,20 @@ class Agreement(NamedTuple):
         return self.weights and self.chain and self.violations and self.attained and self.verdicts
 
 
-def _consistency(
-    v: SetFunction, w: SetFunction, tol: Scalar
-) -> Callable[[Verdict, Verdict], Agreement]:
-    """The comparison of a direct verdict with its dual verdict, set up
-    once per carrier.  Both verdicts are in A's local coordinates, so a
-    local mask corresponds to its complement in w's full set.  Exact
-    weights are compared across the two tables' scales, ``x * L_w == y * L_v``."""
-    full = w.ground.full
-    if v.exact:
-        l_v, l_w = v.scaled_table()[1], w.scaled_table()[1]
-
-        def same(x: Scalar, y: Scalar) -> bool:
-            return x * l_w == y * l_v
-    else:
-        same = partial(scalar_eq, eps=tol)
-
-    def agree(direct: Verdict, dual: Verdict) -> Agreement:
-        # most pairs have no violations on either side: no sets to build
-        unmatched = (len({full ^ m for m in direct.violations} ^ set(dual.violations))
-                     if direct.violations or dual.violations else 0)
-        return Agreement(all(map(same, direct.weights, dual.weights)),
-                         dual.chain == tuple([full ^ s for s in reversed(direct.chain)]),
-                         not unmatched,
-                         direct.attained == dual.attained,
-                         direct.passed == dual.passed,
-                         unmatched)
-
-    return agree
+def _agree(direct: Verdict, dual: Verdict, full: int, tol: Scalar) -> Agreement:
+    """The comparison of a direct verdict with its dual verdict.  Both are
+    in A's local coordinates, where a local mask corresponds to its
+    complement in ``full``, and in the carrier's units, where the weights
+    agree up to ``tol`` (0 in exact mode)."""
+    # most pairs have no violations on either side: no sets to build
+    unmatched = (len({full ^ m for m in direct.violations} ^ set(dual.violations))
+                 if direct.violations or dual.violations else 0)
+    return Agreement(all(abs(x - y) <= tol for x, y in zip(direct.weights, dual.weights)),
+                     dual.chain == tuple([full ^ s for s in reversed(direct.chain)]),
+                     not unmatched,
+                     direct.attained == dual.attained,
+                     direct.passed == dual.passed,
+                     unmatched)
 
 
 def _verify(
@@ -539,9 +525,10 @@ def _verify(
     if b & ~a:
         raise ValueError("b must lie within a")
     base_order = _resolve_base(v, base)
-    local_b = _carrier(v, a)[1].index(b)
-    direct = next(_kernel(v, a, (local_b,), base_order, lower, tol))
-    report = _report(v, a, b, base_order, direct, lower)
+    c = _carrier(v, a)
+    local_b = c.masks.index(b)
+    direct = next(_kernel(c, (local_b,), base_order, lower, tol))
+    report = _report(c, local_b, base_order, direct, lower)
     report.claims[:0] = _precondition_claims(v, submodular=lower, tol=tol)
     if lower:
         return report
@@ -551,10 +538,11 @@ def _verify(
         )
         return report
 
-    w, dual_order, duals = _dual_route(v, a, (local_b,), base_order, tol)
-    dual = next(duals)
-    report.dual = _report(w, w.ground.full, w.ground.full ^ local_b, dual_order, dual, lower=True)
-    agreement = _consistency(v, w, tol)(direct, dual)
+    w, full = _dual(c), len(c.masks) - 1
+    dual_order = _local_order(c.points, base_order)[::-1]
+    dual = next(_kernel(w, (full ^ local_b,), dual_order, True, tol))
+    report.dual = _report(w, full ^ local_b, dual_order, dual, lower=True)
+    agreement = _agree(direct, dual, full, tol)
     report.claims += [
         Claim("dual witness has identical weights", "consistency", (a, b), None, None,
               agreement.weights),
@@ -601,9 +589,10 @@ def verify_inf_representation(
     the upper core, checked through two independent routes.
 
     Direct route: telescope v along the insertion of B into A and check
-    upper-core membership and attainment exhaustively.  Dual route:
-    restrict v to A, apply the complement dual (which is submodular), and
-    check the sup construction on the complemented chain and complemented B.
+    upper-core membership and attainment exhaustively.  Dual route: take
+    the complement dual of v restricted to A (which is submodular) and
+    check the sup construction on it, under the reversed base, for the
+    complement of B.
     The two witnesses are the same measure and the reports must agree claim
     for claim under the complement correspondence; the agreement is itself
     recorded as consistency claims.
@@ -645,13 +634,15 @@ def construction_verdicts(
     the dual route runs its own kernel once for the carrier, as in the
     report, and each B is compared with its complement's dual verdict."""
     base_order = _resolve_base(v, base)
-    bs = range(1 << a.bit_count())
-    direct = _kernel(v, a, bs, base_order, lower, tol)
+    c = _carrier(v, a)
+    bs = range(len(c.masks))
+    direct = _kernel(c, bs, base_order, lower, tol)
     if lower or a == 0:
         return [(d.passed, d.chain) for d in direct]
-    w, _, duals = _dual_route(v, a, bs, base_order, tol)
-    agree = _consistency(v, w, tol)
-    return [(d.passed and agree(d, e).passed, d.chain) for d, e in zip(direct, duals)]
+    full = bs[-1]
+    dual_order = _local_order(c.points, base_order)[::-1]
+    duals = _kernel(_dual(c), (full ^ b for b in bs), dual_order, True, tol)
+    return [(d.passed and _agree(d, e, full, tol).passed, d.chain) for d, e in zip(direct, duals)]
 
 
 def sample_core(
@@ -687,8 +678,9 @@ def find_sup_counterexample(
     base_order = _resolve_base(v, base)
     for a in v.ground.subsets():
         # descending local masks: the order of iter_submasks(a)
-        bs = range((1 << a.bit_count()) - 1, -1, -1)
-        for b, verdict in zip(bs, _kernel(v, a, bs, base_order, True, tol)):
+        c = _carrier(v, a)
+        bs = range(len(c.masks) - 1, -1, -1)
+        for b, verdict in zip(bs, _kernel(c, bs, base_order, True, tol)):
             if not verdict.passed:
-                return a, _carrier(v, a)[1][b]
+                return a, c.masks[b]
     return None

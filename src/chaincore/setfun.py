@@ -80,6 +80,9 @@ class GroundSet:
         if not 1 <= self.n <= MAX_POINTS:
             raise ValueError(f"ground set size must be in [1, {MAX_POINTS}], got {self.n}")
         if self.labels is not None:
+            if not isinstance(self.labels, (list, tuple)) or not all(
+                    isinstance(x, str) for x in self.labels):
+                raise ValueError(f"labels must be a list of strings, got {self.labels!r}")
             labels = tuple(self.labels)
             object.__setattr__(self, "labels", labels)
             if len(labels) != self.n:
@@ -89,12 +92,13 @@ class GroundSet:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "GroundSet":
-        """Read ``{"n": int, "labels"?: [...]}``; a bool ``n`` is rejected,
-        not read as 0 or 1 points."""
+        """Read ``{"n": int, "labels"?: [str, ...]}``; ``n`` must be a JSON
+        integer, so a bool, a number string or a decimal is rejected, not
+        read as a number of points."""
         n = obj["n"]
-        if isinstance(n, bool):
-            raise ValueError(f"not a ground set size: {n!r}")
-        return cls(int(n), tuple(obj["labels"]) if obj.get("labels") else None)
+        if type(n) is not int:
+            raise ValueError(f"ground set size must be an integer, got {n!r}")
+        return cls(n, obj.get("labels"))
 
     @property
     def full(self) -> int:

@@ -185,6 +185,62 @@ def test_comonotone_additivity_property(drawn):
     assert choquet_integral(v, both) == choquet_integral(v, f) + choquet_integral(v, g)
 
 
+#: few distinct values, so drawn tables and point functions have ties
+TIED = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2)))
+#: nonnegative steps, zero among them
+STEPS = st.builds(Fraction, st.integers(0, 2), st.sampled_from((1, 2)))
+
+
+@st.composite
+def tables_and_points(draw, monotone: bool = False) -> tuple[SetFunction, PointFunction]:
+    """An exact table on 1 to 5 points, arbitrary or (``monotone``)
+    grounded and non-decreasing, and a point function on its ground set;
+    both have ties."""
+    n = draw(st.integers(1, 5))
+    size = 1 << n
+    if monotone:
+        steps = draw(st.lists(STEPS, min_size=size, max_size=size))
+        table = [Fraction(0)] * size
+        for mask in range(1, size):
+            below = max(table[mask & ~(1 << i)] for i in range(n) if mask >> i & 1)
+            table[mask] = below + steps[mask]
+    else:
+        table = draw(st.lists(TIED, min_size=size, max_size=size))
+    ground = GroundSet(n)
+    f = PointFunction(ground, tuple(draw(st.lists(TIED, min_size=n, max_size=n))))
+    return SetFunction(ground, tuple(table)), f
+
+
+@settings(max_examples=80, deadline=None)
+@given(drawn=tables_and_points(), c=st.fractions(min_value=0, max_value=6, max_denominator=4))
+def test_positive_homogeneity_property(drawn, c):
+    """v(c f) = c v(f) for every c >= 0, on any table: scaling by c > 0
+    keeps every level set, and c = 0 leaves the constant 0."""
+    v, f = drawn
+    assert choquet_integral(v, f.scale(c)) == c * choquet_integral(v, f)
+
+
+@settings(max_examples=80, deadline=None)
+@given(drawn=tables_and_points(), c=TIED)
+def test_translation_property(drawn, c):
+    """v(f + c) = v(f) + c v(full) on any table: shifting f keeps every
+    level set and moves only the bottom level."""
+    v, f = drawn
+    assert choquet_integral(v, f.shift(c)) == choquet_integral(v, f) + c * v.table[v.ground.full]
+
+
+@settings(max_examples=80, deadline=None)
+@given(drawn=tables_and_points(monotone=True), data=st.data())
+def test_pointwise_monotonicity_property(drawn, data):
+    """f <= g pointwise gives v(f) <= v(g) for grounded non-decreasing v:
+    each level set of f lies inside the one of g."""
+    v, f = drawn
+    assert v.is_grounded() and v.is_monotone()
+    bumps = data.draw(st.lists(STEPS, min_size=v.ground.n, max_size=v.ground.n))
+    g = PointFunction(v.ground, tuple(x + d for x, d in zip(f.values, bumps)))
+    assert choquet_integral(v, f) <= choquet_integral(v, g)
+
+
 def test_sampled_core_measures_dominated():
     rng = Random(10)
     for seed in range(10):

@@ -287,3 +287,31 @@ def test_bool_size_is_input_error(instance, capsys, command, obj, extra):
     assert code == 2
     assert out == ""
     assert "ground set size" in err
+
+
+LOOSE_GROUND = {
+    # a string is not a label list: "xy" must not read as the labels x and y
+    "label string": ({"labels": "xy"}, "labels must be a list of strings"),
+    "int labels": ({"labels": [1, 2]}, "labels must be a list of strings"),
+    # the README asks for an integer: "2" must not load as 2 points
+    "string size": ({"n": "2"}, "ground set size must be an integer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOOSE_GROUND))
+@pytest.mark.parametrize(
+    "command, obj, extra",
+    [
+        ("check", {"n": 2, "values": {"0": 0, "1": 1, "2": 1, "3": 2}}, []),
+        ("core", {"n": 2, "values": {"0": 0, "1": 1, "2": 1, "3": 2}}, ["--B", "1"]),
+        ("embed", {"n": 2, "members": [[0], [1]]}, []),
+    ],
+    ids=["check", "core", "embed"],
+)
+def test_loose_ground_set_is_input_error(instance, capsys, command, obj, extra, case):
+    patch, message = LOOSE_GROUND[case]
+    assert run(capsys, command, instance(obj), *extra)[0] == 0
+    code, out, err = run(capsys, command, instance({**obj, **patch}), *extra)
+    assert code == 2
+    assert out == ""
+    assert message in err

@@ -4,6 +4,8 @@ down from outside.
 * Differential: every report matches what the public Fraction functions
   (``insert_chain``, ``chain_measure``, ``core_check``) rebuild on their
   own, in exact and in float mode.
+* Dual table: the dual route's table on each carrier is the public
+  ``dual_transform`` of the restriction, in exact and in float mode.
 * Scaling invariance: for any exact v and positive rational c, every
   verdict on ``c * v`` equals the one on v, and every reported value is
   c times the one on v.
@@ -38,6 +40,7 @@ from chaincore import (
     SetFunction,
     chain_measure,
     core_check,
+    dual_transform,
     find_sup_counterexample,
     insert_chain,
     iter_submasks,
@@ -170,6 +173,34 @@ def test_reports_match_the_public_fraction_functions():
     assert compared == 2 * 2 * sum(3 ** v.ground.n for v in INSTANCES.values())
 
 
+def test_dual_table_matches_the_fraction_reference():
+    """The dual route's table on each carrier A is the complement dual of
+    v restricted to A, in A's local coordinates: unscaled, it equals
+    ``dual_transform(v.restrict(A))`` as Fractions in exact mode and bit
+    for bit in float mode."""
+    compared = 0
+    for name, exact_v in INSTANCES.items():
+        for v in (exact_v, _as_float(exact_v)):
+            for a in range(1, 1 << v.ground.n):
+                carrier = measure._carrier(v, a)
+                dual = measure._dual(carrier)
+                restricted, points = v.restrict(a)
+                reference = dual_transform(restricted).table
+                where = (name, v.exact, a)
+                assert carrier.points == points, where
+                assert dual.points == tuple(range(len(points))), where
+                assert dual.masks == list(range(1 << len(points))), where
+                assert (dual.scale, dual.exact) == (carrier.scale, v.exact), where
+                if v.exact:
+                    assert all(type(x) is int for x in dual.values), where
+                    assert [Fraction(x, dual.scale) for x in dual.values] == list(reference), where
+                else:
+                    assert dual.scale == 1, where
+                    assert [x.hex() for x in dual.values] == [x.hex() for x in reference], where
+                compared += 1
+    assert compared == 2 * sum((1 << v.ground.n) - 1 for v in INSTANCES.values())
+
+
 # -- scaling invariance ---------------------------------------------------------------
 
 FRACTIONS = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
@@ -280,7 +311,7 @@ def _verdict(v: SetFunction, a: int, b: int) -> measure.Verdict:
     """The sup kernel's verdict on (A, B) in exact mode, default base."""
     order = measure._resolve_base(v, None)
     local_b = subset_masks(members(a)).index(b)
-    return next(measure._kernel(v, a, (local_b,), order, True, 0))
+    return next(measure._kernel(measure._carrier(v, a), (local_b,), order, True, 0))
 
 
 def _only(verdict: measure.Verdict, *failing: str) -> bool:
@@ -318,7 +349,8 @@ def test_each_check_alone_flips_the_verdict(check):
     bad = verdict._replace(**{name: value})
     assert _only(bad, name)
     assert not bad.passed
-    report = measure._report(v, a, b, tuple(range(4)), bad, lower=True)
+    local_b = subset_masks(members(a)).index(b)
+    report = measure._report(measure._carrier(v, a), local_b, tuple(range(4)), bad, lower=True)
     assert {c.claim for c in report.failures()} == claims
 
 
@@ -369,13 +401,12 @@ def test_a_corrupted_dual_verdict_fails_the_pair(monkeypatch, corruption):
     assert construction_verdicts(v, a, False, 0)[local_b][0]
     assert verify_inf_representation(v, a, b).passed
     corrupt, claims = CORRUPT[corruption]
-    dual_route = measure._dual_route
+    agree = measure._agree
 
-    def corrupted(*args):
-        w, order, duals = dual_route(*args)
-        return w, order, map(corrupt, duals)
+    def corrupted(direct, dual, *rest):
+        return agree(direct, corrupt(dual), *rest)
 
-    monkeypatch.setattr(measure, "_dual_route", corrupted)
+    monkeypatch.setattr(measure, "_agree", corrupted)
     assert not construction_verdicts(v, a, False, 0)[local_b][0]
     assert {c.claim for c in verify_inf_representation(v, a, b).failures()} == claims
 
@@ -474,7 +505,7 @@ def test_float_chain_and_attainment_use_the_tolerance():
     order = measure._resolve_base(v, None)
     local_b = _local(members(a), b)
     for eps, misses in ((resolve_eps(), True), (1e-4, False)):
-        verdict = next(measure._kernel(v, a, (local_b,), order, True, eps))
+        verdict = next(measure._kernel(measure._carrier(v, a), (local_b,), order, True, eps))
         assert verdict.attained is not misses
         assert verdict.chain_bad == (verdict.chain if misses else ())
         report = verify_sup_representation(v, a, b, eps=eps)

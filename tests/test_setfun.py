@@ -36,6 +36,9 @@ def test_ground_set_bounds():
         GroundSet(2, ("a",))
     with pytest.raises(ValueError):
         GroundSet(2, ("a", "a"))
+    for bad in ("ab", (1, 2), ["a", None], {"a": 0, "b": 1}, 5):
+        with pytest.raises(ValueError, match="labels must be a list of strings"):
+            GroundSet(2, bad)
 
 
 def test_parse_subset_conventions():
