@@ -367,17 +367,22 @@ def _carrier(v: SetFunction, a: int) -> Carrier:
     return v._cached(("carrier", a), compute)
 
 
-def _dual(c: Carrier) -> Carrier:
-    """The complement dual of the carrier's values on its own local
-    coordinates, ``w[E] = v[A] - v[A ^ E] + v[empty]`` in the same units:
-    :func:`~chaincore.setfun.dual_transform` of v restricted to A, times
-    the carrier's scale.  Its preconditions are equivalent to v's, so the
-    dual route checks only the construction on it."""
-    values = c.values
-    full = len(values) - 1
-    top, bottom = values[full], values[0]
-    return Carrier(tuple(range(len(c.points))), list(range(full + 1)),
-                   [top - values[full ^ m] + bottom for m in range(full + 1)], c.scale, c.exact)
+def _dual(
+    c: Carrier, bs: Iterable[int], base_order: Sequence[int], tol: Scalar
+) -> tuple[Carrier, list[int], Iterator[Verdict]]:
+    """The dual route on the carrier A: the record of the complement dual
+    of its values on A's local coordinates, ``w[E] = v[A] - v[A ^ E] +
+    v[empty]`` in the same units (:func:`~chaincore.setfun.dual_transform`
+    of v restricted to A, times the carrier's scale); its base order, the
+    base order cut to A and reversed, as local indices; and the sup-mode
+    kernel verdict on w of the complement of each B in ``bs``.  w's
+    preconditions are equivalent to v's, so only the construction is run."""
+    values, full = c.values, len(c.values) - 1
+    w = Carrier(tuple(range(len(c.points))), list(range(full + 1)),
+                [values[full] - values[full ^ m] + values[0] for m in range(full + 1)],
+                c.scale, c.exact)
+    order = _local_order(c.points, base_order)[::-1]
+    return w, order, _kernel(w, (full ^ b for b in bs), order, True, tol)
 
 
 def _local_order(points: Sequence[int], base_order: Sequence[int]) -> list[int]:
@@ -538,9 +543,8 @@ def _verify(
         )
         return report
 
-    w, full = _dual(c), len(c.masks) - 1
-    dual_order = _local_order(c.points, base_order)[::-1]
-    dual = next(_kernel(w, (full ^ local_b,), dual_order, True, tol))
+    w, dual_order, duals = _dual(c, (local_b,), base_order, tol)
+    dual, full = next(duals), len(c.masks) - 1
     report.dual = _report(w, full ^ local_b, dual_order, dual, lower=True)
     agreement = _agree(direct, dual, full, tol)
     report.claims += [
@@ -639,10 +643,9 @@ def construction_verdicts(
     direct = _kernel(c, bs, base_order, lower, tol)
     if lower or a == 0:
         return [(d.passed, d.chain) for d in direct]
-    full = bs[-1]
-    dual_order = _local_order(c.points, base_order)[::-1]
-    duals = _kernel(_dual(c), (full ^ b for b in bs), dual_order, True, tol)
-    return [(d.passed and _agree(d, e, full, tol).passed, d.chain) for d, e in zip(direct, duals)]
+    _, _, duals = _dual(c, bs, base_order, tol)
+    return [(d.passed and _agree(d, e, bs[-1], tol).passed, d.chain)
+            for d, e in zip(direct, duals)]
 
 
 def sample_core(

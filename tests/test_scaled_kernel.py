@@ -183,13 +183,14 @@ def test_dual_table_matches_the_fraction_reference():
         for v in (exact_v, _as_float(exact_v)):
             for a in range(1, 1 << v.ground.n):
                 carrier = measure._carrier(v, a)
-                dual = measure._dual(carrier)
+                dual, order, _ = measure._dual(carrier, (), range(v.ground.n), 0)
                 restricted, points = v.restrict(a)
                 reference = dual_transform(restricted).table
                 where = (name, v.exact, a)
                 assert carrier.points == points, where
                 assert dual.points == tuple(range(len(points))), where
                 assert dual.masks == list(range(1 << len(points))), where
+                assert order == list(reversed(range(len(points)))), where
                 assert (dual.scale, dual.exact) == (carrier.scale, v.exact), where
                 if v.exact:
                     assert all(type(x) is int for x in dual.values), where
@@ -401,12 +402,14 @@ def test_a_corrupted_dual_verdict_fails_the_pair(monkeypatch, corruption):
     assert construction_verdicts(v, a, False, 0)[local_b][0]
     assert verify_inf_representation(v, a, b).passed
     corrupt, claims = CORRUPT[corruption]
-    agree = measure._agree
+    kernel = measure._kernel
 
-    def corrupted(direct, dual, *rest):
-        return agree(direct, corrupt(dual), *rest)
+    def corrupted(c, bs, base_order, lower, tol):
+        # the direct pass of the inf route runs in upper-core mode, the dual pass in lower
+        verdicts = kernel(c, bs, base_order, lower, tol)
+        return map(corrupt, verdicts) if lower else verdicts
 
-    monkeypatch.setattr(measure, "_agree", corrupted)
+    monkeypatch.setattr(measure, "_kernel", corrupted)
     assert not construction_verdicts(v, a, False, 0)[local_b][0]
     assert {c.claim for c in verify_inf_representation(v, a, b).failures()} == claims
 
